@@ -186,10 +186,7 @@ def initial_state(case, sc):
 
 
 def solver_config(sc):
-    s = sc.solver
-    return solver.NonlinearSolveConfig(
-        rtol=s["rtol"], atol_factor=s["atol_factor"], max_iter=s["max_iter"],
-        bfgs_reset=s["bfgs_reset"], max_cutbacks=s["max_cutbacks"])
+    return solver.NonlinearSolveConfig(max_cutbacks=sc.solver["max_cutbacks"])
 
 
 # ------------------------------------------------------------ artifacts
@@ -374,7 +371,9 @@ def _sweep_flags(rows, f_p_grid, ar_grid):
 def monte_carlo(sc, replicates=None, base_seed=None, out_dir=None):
     """Independent seeded replicates of a random-defect scenario.
 
-    Per-replicate failures are recorded and the ensemble continues.
+    Expected per-replicate failures (ValueError, RuntimeError and their
+    subclasses, StepFailure included) are recorded with their reason and
+    the ensemble continues; any other exception propagates.
     Returns (summaries, histogram) where histogram is (edges, counts)
     over the ultimate fracture displacements of successful replicates.
     """
@@ -388,7 +387,7 @@ def monte_carlo(sc, replicates=None, base_seed=None, out_dir=None):
         rep_dir = None if out_dir is None else Path(out_dir) / f"rep_{rep:03d}"
         try:
             s = run_case(sc, out_dir=rep_dir, seed=[seed0, rep])
-        except Exception as err:  # keep the ensemble alive
+        except (ValueError, RuntimeError) as err:
             s = RunSummary(status="failed", reason=str(err),
                            peak_force=math.nan,
                            fracture_displacement=math.nan, R0=math.nan,
@@ -414,11 +413,11 @@ def monte_carlo(sc, replicates=None, base_seed=None, out_dir=None):
                   newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["replicate", "status", "peak force (N)",
-                        "fracture displacement (m)", "R0 (Ω)"])
+                        "fracture displacement (m)", "R0 (Ω)", "reason"])
             for i, s in enumerate(summaries):
                 w.writerow([i, s.status, f"{s.peak_force:.17g}",
                             f"{s.fracture_displacement:.17g}",
-                            f"{s.R0:.17g}"])
+                            f"{s.R0:.17g}", s.reason])
         with open(out / "histogram.csv", "w", encoding="utf-8",
                   newline="") as fh:
             w = csv.writer(fh)

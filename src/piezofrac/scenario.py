@@ -101,10 +101,6 @@ _SCHEMA = {
         "seed_magnitude": ("float", 500.0, "seeded-history scale, x Gc/(2 ell)"),
     },
     "solver": {
-        "rtol": ("float", 1e-6, "per-block relative residual"),
-        "atol_factor": ("float", 1e-10, "combined residual vs problem scale"),
-        "max_iter": ("int", 120, "quasi-Newton iterations per step"),
-        "bfgs_reset": ("int", 30, "secant updates before refactorization"),
         "max_cutbacks": ("int", 10, "load bisection levels"),
     },
     "output": {

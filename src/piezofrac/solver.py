@@ -1,18 +1,19 @@
-"""Monolithic quasi-Newton solver for the strain-potential-damage system.
+"""Exact block-triangular step solver for the strain-potential-damage system.
 
 Each load step solves the three coupled fields at frozen damage-driving
 history H: displacement equilibrium with stiffness degraded by h1(d),
 charge balance with conductivity degraded by h2(d) and shifted by the
 linearized piezoresistive law, and the damage equation driven by H.
-The BFGS iteration is seeded with per-block sparse factorizations; the
-history field is advanced between steps, which keeps the damage block
-linear within a step.  After convergence a triangular polish pass
-(d, then u, then phi) re-solves each linear block exactly, so reported
-reactions and electrode currents balance to solver precision.
+With H frozen the step problem is block lower triangular and linear in
+each block (d depends only on H, u on d, phi on u and d), so one sparse
+LU pass d -> u -> phi solves it exactly; this is the history-field
+scheme of Miehe, Hofacker & Welschinger (CMAME 2010).  The history is
+advanced between steps, and a step that fails is bisected by
+`run_load_program`.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -41,7 +42,7 @@ def h2(d, k=50.0, n=6.0, eps_reg=1e-7):
 
 
 class StepFailure(RuntimeError):
-    """A load step did not converge (or hit unphysical state)."""
+    """A load step reached an unphysical or non-finite state."""
 
 
 @dataclass(frozen=True)
@@ -89,19 +90,8 @@ class MaterialPoint:
 
 @dataclass
 class NonlinearSolveConfig:
-    rtol: float = 1e-6            # per-block relative residual
-    atol_factor: float = 1e-10    # combined residual vs problem scale
-    max_iter: int = 120
-    bfgs_reset: int = 30          # secant history cap before refactorization
     max_cutbacks: int = 10        # bisection levels of the load increment
-    line_search_max: int = 6
     d_drop_tol: float = 5e-2      # tolerated per-step damage decrease
-
-    def __post_init__(self):
-        if self.rtol <= 0.0 or self.atol_factor <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1 or self.bfgs_reset < 1:
-            raise ValueError("iteration limits must be >= 1")
 
 
 @dataclass
@@ -123,7 +113,7 @@ class CoupledSystem:
         self.mat = mat
         self.tables = elements.element_tables(mesh)
         self.dofmap = elements.DofMap(mesh)
-        t, dm = self.tables, self.dofmap
+        t = self.tables
         self.C = mat.stiffness(mesh.dim)
         self.CB = np.einsum("KL,egLA->egKA", self.C, t.B)
         self.lam44 = 0.5 * (mat.lam11 - mat.lam12)
@@ -247,8 +237,8 @@ class CoupledSystem:
         """Sparse symmetric stiffness of each field block at state x.
 
         These are the exact per-block Jacobians at frozen cross-field
-        values; the inter-field coupling enters the iteration through
-        residual re-evaluation only.
+        values; `solve_step` uses the diagonal blocks of the
+        block-triangular step problem and nothing else.
         """
         t, dm, m = self.tables, self.dofmap, self.mat
         eps, d_gp, gphi, gd = self._gauss(x)
@@ -278,33 +268,6 @@ class CoupledSystem:
 # ------------------------------------------------------------- stepping
 
 
-class _BlockSeed:
-    """Per-block LU factorizations of the free-free stiffness."""
-
-    def __init__(self, system, x, H, frees):
-        Ku, Kp, Kd = system.block_matrices(x, H)
-        dm = system.dofmap
-        fu, fp, fd = frees
-        self.lu_u = splu(Ku[fu][:, fu]) if fu.size else None
-        self.lu_p = splu(Kp[fp - dm.off_phi][:, fp - dm.off_phi]) \
-            if fp.size else None
-        self.lu_d = splu(Kd[fd - dm.off_d][:, fd - dm.off_d]) \
-            if fd.size else None
-        self.sizes = (fu.size, fp.size, fd.size)
-
-    def apply(self, r):
-        """Block-diagonal inverse action on a concatenated free residual."""
-        nu, np_, nd = self.sizes
-        out = np.empty_like(r)
-        if nu:
-            out[:nu] = self.lu_u.solve(r[:nu])
-        if np_:
-            out[nu:nu + np_] = self.lu_p.solve(r[nu:nu + np_])
-        if nd:
-            out[nu + np_:] = self.lu_d.solve(r[nu + np_:])
-        return out
-
-
 def _split_free(dofmap, free):
     fu = free[free < dofmap.off_phi]
     fp = free[(free >= dofmap.off_phi) & (free < dofmap.off_d)]
@@ -312,120 +275,47 @@ def _split_free(dofmap, free):
     return fu, fp, fd
 
 
-def _block_norms(R, frees):
-    return np.array([np.linalg.norm(R[f]) if f.size else 0.0 for f in frees])
-
-
 def solve_step(system, state, constraints, cfg=None, d_floor=None):
-    """One monolithic BFGS solve at the current Dirichlet values.
+    """Exact solve of one load step at the current Dirichlet values.
 
-    Returns (new FieldState with x updated, iteration count).  The
-    damage history H is NOT advanced here; call `advance_history`
-    between steps.  `d_floor` (previous converged damage) activates
-    the irreversibility clamp.  Raises StepFailure when the iteration
-    stalls or damage leaves its admissible band.
+    At frozen history H the step problem is block lower triangular and
+    linear in each block: the damage equation involves only d and H,
+    equilibrium is linear in u once d is known, and charge balance is
+    linear in phi once u and d are known.  One LU solve per block, in
+    the order d, u, phi, therefore zeroes every free residual row.  The
+    monolithic residual vanishes exactly when each block's does, so this
+    is the fixed point a monolithic quasi-Newton iteration converges to,
+    reached without iterating; electrode currents balance to
+    factorization precision.
+    Damage bounds are applied between the damage and displacement
+    solves so the final fields stay mutually consistent.
+
+    Returns (new FieldState, number of block solves).  The history H is
+    NOT advanced here; call `advance_history` between steps.  `d_floor`
+    (previous converged damage) activates the irreversibility clamp.
+    Raises StepFailure when the strained resistivity loses
+    definiteness, a residual turns non-finite, or damage drops by more
+    than `cfg.d_drop_tol`.
     """
     cfg = cfg or NonlinearSolveConfig()
     dm = system.dofmap
     fixed, vals, free = constraints.build()
-    frees = _split_free(dm, free)
+    fu, fp, fd = _split_free(dm, free)
 
     x = state.x.copy()
     x[fixed] = vals
     H = state.H
-
-    R = system.residual(x, H)
-    norms0 = _block_norms(R, frees)
-    # reference scale: total internal force including reaction rows
-    scale = max(np.linalg.norm(R), norms0.sum(), 1e-300)
-    ref = norms0
-
-    def converged(norms):
-        # a block already below (its share of) the combined absolute
-        # target needs no relative reduction: its initial residual can
-        # start at roundoff level, e.g. the potential block once a
-        # crack has cut the conduction path
-        esc = 0.25 * cfg.atol_factor * scale
-        block_ok = (norms <= cfg.rtol * ref) | (norms <= esc)
-        return block_ok.all() and norms.sum() <= cfg.atol_factor * scale
-
-    seed = _BlockSeed(system, x, H, frees)
-    S, Y = [], []
-    rf = R[free]
-    it = 0
-    while not converged(_block_norms(R, frees)):
-        if it >= cfg.max_iter:
-            raise StepFailure(
-                f"no convergence in {cfg.max_iter} iterations "
-                f"(block residuals {_block_norms(R, frees)}, ref {ref})")
-        if len(S) >= cfg.bfgs_reset:
-            seed = _BlockSeed(system, x, H, frees)
-            S, Y = [], []
-
-        # two-loop recursion: inverse-BFGS action on the residual
-        q = rf.copy()
-        alphas = []
-        for s, y, rho in reversed(S):
-            a = rho * (s @ q)
-            alphas.append(a)
-            q -= a * y
-        z = seed.apply(q)
-        for (s, y, rho), a in zip(S, reversed(alphas)):
-            b = rho * (y @ z)
-            z += s * (a - b)
-
-        base = np.linalg.norm(rf)
-        lam = 1.0
-        for _ in range(cfg.line_search_max):
-            x_try = x.copy()
-            x_try[free] -= lam * z
-            R_try = system.residual(x_try, H)
-            if np.linalg.norm(R_try[free]) <= base * (1.0 - 1e-4 * lam) \
-                    or np.linalg.norm(R_try[free]) < base:
-                break
-            lam *= 0.5
-        else:
-            # accept the smallest step; BFGS data will correct course
-            x_try = x.copy()
-            x_try[free] -= lam * z
-            R_try = system.residual(x_try, H)
-
-        s_vec = x_try[free] - x[free]
-        y_vec = R_try[free] - rf
-        sy = s_vec @ y_vec
-        if sy > 1e-10 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
-            S.append((s_vec, y_vec, 1.0 / sy))
-            Y.append(None)
-        x, R, rf = x_try, R_try, R_try[free]
-        it += 1
-
-    x = _polish(system, x, H, frees, cfg, d_floor)
-    new = FieldState(x, H.copy())
-    return new, it
-
-
-def _polish(system, x, H, frees, cfg, d_floor):
-    """Exact triangular re-solve: damage, then displacement, then potential.
-
-    At frozen H the step problem is block lower triangular (d depends
-    only on H, u on d, phi on u and d), so one LU pass per block lands
-    on the exact step solution; electrode currents then balance to
-    factorization precision.  Damage bounds are clamped between the
-    damage and displacement solves so the final fields stay mutually
-    consistent.
-    """
-    dm = system.dofmap
-    fu, fp, fd = frees
-    x = x.copy()
-    for f, off in ((fd, dm.off_d), (fu, 0), (fp, dm.off_phi)):
+    solves = 0
+    # (free DOFs, block offset, index into block_matrices)
+    for f, off, k in ((fd, dm.off_d, 2), (fu, 0, 0), (fp, dm.off_phi, 1)):
         if f.size:
-            Ku, Kp, Kd = system.block_matrices(x, H)
-            K = {dm.off_d: Kd, 0: Ku, dm.off_phi: Kp}[off]
+            K = system.block_matrices(x, H)[k]
             R = system.residual(x, H)
             x[f] -= splu(K[f - off][:, f - off]).solve(R[f])
+            solves += 1
         if off == dm.off_d:
             _apply_damage_bounds(x[dm.off_d:], d_floor, cfg)
-    return x
+    return FieldState(x, H.copy()), solves
 
 
 def _apply_damage_bounds(d, d_floor, cfg):
@@ -467,7 +357,7 @@ class StepRecord:
     rel_resistance: float
     max_d: float
     charge_mismatch: float
-    iterations: int
+    cutbacks: int     # load bisections needed before this target converged
 
 
 @dataclass
@@ -492,8 +382,9 @@ def run_load_program(system, constraints, load_groups, load_values,
     drive/ground groups name the electrode constraint groups; the
     reaction force is summed over react_dofs (defaults to the first
     load group's DOFs).  An observer(step, record, state) callback can
-    dump fields.  On persistent non-convergence the run aborts and the
-    last converged state is returned.
+    dump fields.  A failed step is retried at the midpoint of the
+    increment; after `cfg.max_cutbacks` bisections of one target the run
+    aborts and the last converged state is returned.
     """
     cfg = cfg or NonlinearSolveConfig()
     state = (initial or system.empty_state()).copy()
@@ -505,24 +396,24 @@ def run_load_program(system, constraints, load_groups, load_values,
     records = []
     d_prev = state.x[system.dofmap.off_d:].copy()
 
-    def solve_at(value, step_index):
+    def solve_at(value, step_index, cutbacks):
         nonlocal state, d_prev
         for g in load_groups:
             constraints.set_value(g, value)
-        new, its = solve_step(system, state, constraints, cfg,
+        state, _ = solve_step(system, state, constraints, cfg,
                               d_floor=d_prev)
-        state = new
         d_prev = state.x[system.dofmap.off_d:].copy()
         R = system.residual(state.x, state.H)
         rec = _make_record(system, state, R, value, step_index,
-                           react_dofs, drive_dofs, ground_dofs, voltage, its,
+                           react_dofs, drive_dofs, ground_dofs, voltage,
+                           cutbacks,
                            records[0].resistance if records else None)
         advance_history(system, state)
         return rec
 
     # unstrained baseline (R0) before the program
     try:
-        rec = solve_at(0.0, 0)
+        rec = solve_at(0.0, 0, 0)
     except StepFailure as err:
         return RunResult([], state, aborted=True,
                          abort_reason=f"baseline solve failed: {err}")
@@ -539,7 +430,7 @@ def run_load_program(system, constraints, load_groups, load_values,
             saved = state.copy()
             saved_d = d_prev.copy()
             try:
-                rec = solve_at(value, i)
+                rec = solve_at(value, i, depth)
             except StepFailure as err:
                 state, d_prev = saved, saved_d
                 depth += 1
@@ -557,7 +448,7 @@ def run_load_program(system, constraints, load_groups, load_values,
 
 
 def _make_record(system, state, R, value, step, react_dofs,
-                 drive_dofs, ground_dofs, voltage, its, r0):
+                 drive_dofs, ground_dofs, voltage, cutbacks, r0):
     dm = system.dofmap
     phi_rows = R[dm.off_phi:dm.off_d]
     i_drive = float(np.sum(phi_rows[np.asarray(drive_dofs) - dm.off_phi]))
@@ -576,7 +467,7 @@ def _make_record(system, state, R, value, step, react_dofs,
     return StepRecord(step=step, u_applied=float(value), force=force,
                       current=current, resistance=resistance,
                       rel_resistance=rel, max_d=float(d.max()) if d.size else 0.0,
-                      charge_mismatch=mismatch, iterations=its)
+                      charge_mismatch=mismatch, cutbacks=cutbacks)
 
 
 def seed_history(system, element_ids, value):

@@ -230,7 +230,21 @@ def test_monte_carlo_survives_failed_replicate(tmp_path):
     assert len(summaries) == 2
     assert all(s.status == "aborted" for s in summaries)
     assert counts.sum() == 0             # nobody fractured
-    assert (tmp_path / "ensemble.csv").exists()
+    with open(tmp_path / "ensemble.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["aborted", "aborted"]
+    assert all("definiteness" in r["reason"] for r in rows)
+
+
+def test_monte_carlo_propagates_programming_errors(monkeypatch):
+    sc = scenario.parse_text(DOOMED, "doomed")
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug, not a failed replicate")
+
+    monkeypatch.setattr(runner, "run_case", broken)
+    with pytest.raises(TypeError, match="bug"):
+        runner.monte_carlo(sc, replicates=2, base_seed=1)
 
 
 def test_property_sweep_rows_and_flags(tmp_path):

@@ -35,9 +35,12 @@ def test_comments_and_blanks_ignored():
     assert sc.loading["steps"] == 4
 
 
-def test_unknown_key_named_with_line():
-    bad = "[geometry]\nlenght_scale = 0.1\n"
-    with pytest.raises(scenario.SchemaError, match=r"f:2.*lenght_scale"):
+@pytest.mark.parametrize("bad, key", [
+    ("[geometry]\nlenght_scale = 0.1\n", "lenght_scale"),
+    ("[solver]\nmax_iter = 50\n", "max_iter"),       # removed solver knob
+], ids=["typo", "removed_solver_key"])
+def test_unknown_key_named_with_line(bad, key):
+    with pytest.raises(scenario.SchemaError, match=rf"f:2.*{key}"):
         scenario.parse_text(bad, "f")
 
 
