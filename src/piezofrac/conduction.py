@@ -190,12 +190,15 @@ def _pair_integral(stretches, order):
     wh = dens * area / norm                 # normalized point masses
 
     c, s = np.cos(g), np.sin(g)
-    # cos of angle between (g1,g2) and (g1',g2') depends on g1 - g1'
-    cosang = (c[None, :, None, None] * c[None, None, None, :]
-              + np.cos(g[:, None, None, None] - g[None, None, :, None])
-              * s[None, :, None, None] * s[None, None, None, :])
-    sintau = np.sqrt(np.clip(1.0 - cosang * cosang, 0.0, None))
-    J = np.einsum("abcd,cd->ab", sintau, wh)
+    cc = c[:, None, None] * c[None, None, :]
+    # cos of angle between (g1,g2) and (g1',g2') depends on g1 - g1';
+    # one g1 row at a time keeps the work array at order**3
+    J = np.empty((order, order))
+    for a in range(order):
+        cosang = (cc + np.cos(g[a] - g)[None, :, None]
+                  * s[:, None, None] * s[None, None, :])
+        sintau = np.sqrt(np.clip(1.0 - cosang * cosang, 0.0, None))
+        J[a] = np.einsum("bcd,cd->b", sintau, wh)
     return float(np.sum(J * wh))
 
 

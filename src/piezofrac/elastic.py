@@ -3,10 +3,12 @@
 A three-phase composite (polymer matrix, stiff fibers, soft coating
 layer around each fiber) is homogenized with a dilute-concentration
 scheme normalized over all phases.  Fibers are prolate spheroids with a
-common aspect ratio; orientations are averaged over a uniform density
-on the quarter sphere.  The fracture-energy model adds the work of
-fiber pull-out and rupture across a bridged crack to the matrix
-toughness.
+common aspect ratio, oriented with a uniform density.  That orientation
+average is computed in closed form: each phase's concentration tensors
+are transversely isotropic about the fiber axis, so their uniform
+average is exactly their isotropic projection.  The fracture-energy
+model adds the work of fiber pull-out and rupture across a bridged
+crack to the matrix toughness.
 
 All inputs are SI.
 """
@@ -143,13 +145,17 @@ def _phases_match(C_a, C_b):
     return np.allclose(C_a, C_b, rtol=1e-12, atol=1e-12 * np.linalg.norm(C_b))
 
 
-@lru_cache(maxsize=64)
-def effective_stiffness(spec, order=32):
+def effective_stiffness(spec):
     """Effective 6x6 stiffness of the three-phase fiber composite.
 
-    Dilute concentration tensors of fiber and coating (both with the
-    fiber-shaped Eshelby tensor) are averaged over the uniform
-    orientation density and normalized over all phases.  Returns the
+    Dilute concentration tensors A of fiber and coating (both with the
+    fiber-shaped Eshelby tensor) and the products C A are averaged over
+    the uniform orientation density and normalized over all phases.
+    The average is computed in closed form, as the isotropic projection
+    `tensors.isotropic_projection`.  It is exact because isotropic
+    phases and a spheroidal shape make A and C A transversely isotropic
+    about the fiber axis, so the spin about the axis and the sign of
+    the axis drop out of the uniform average.  Returns the
     matrix stiffness outright when the filler content is zero or when
     no phase has any contrast with the matrix.
     """
@@ -171,18 +177,16 @@ def effective_stiffness(spec, order=32):
 
     S = eshelby_prolate(spec.kappa, spec.nu_m)
 
-    def avg(loc, rot):
-        return tensors.orientational_average(
-            lambda g1, g2: rot(loc, tensors.rotation_from_euler(g1, g2)),
-            order=order)
-
     def phase_averages(C_phase, weight):
         # a phase with no contrast (or no volume) concentrates strain 1:1
         if weight == 0.0 or _phases_match(C_phase, C_m):
             return np.eye(6), C_m
         A = dilute_concentration(C_phase, C_m, S)
-        return avg(A, tensors.rotate_strain_map), avg(C_phase @ A,
-                                                      tensors.rotate_stiffness)
+        A_avg = tensors.isotropic_projection(tensors.strain_map_to_full(A))
+        CA_avg = tensors.isotropic_projection(
+            tensors.stiffness_to_full(C_phase @ A))
+        return (tensors.full_to_strain_map(A_avg),
+                tensors.full_to_stiffness(CA_avg))
 
     A_i_avg, CA_i_avg = phase_averages(C_i, f_i)
     A_p_avg, CA_p_avg = phase_averages(C_p, f_p)
@@ -192,9 +196,9 @@ def effective_stiffness(spec, order=32):
     return 0.5 * (C + C.T)
 
 
-def effective_engineering_constants(spec, order=32):
+def effective_engineering_constants(spec):
     """(E, nu) of the isotropic part of the effective stiffness."""
-    C = effective_stiffness(spec, order)
+    C = effective_stiffness(spec)
     _, E, nu, _ = tensors.isotropic_part(C)
     return E, nu
 

@@ -130,7 +130,7 @@ class EffectiveProperties:
 @lru_cache(maxsize=32)
 def derive_properties(spec, order=32, onset_order=48, fd_delta=1e-5):
     """Run the full homogenization chain for one material record."""
-    E, nu = elastic.effective_engineering_constants(spec, order)
+    E, nu = elastic.effective_engineering_constants(spec)
     Gc = elastic.fracture_energy(spec)
     if spec.f_p0 > 0.0:
         f_c = conduction.percolation_threshold(spec.kappa, order=onset_order)

@@ -48,7 +48,8 @@ _SCHEMA = {
         "f_p": ("float", math.nan, "filler volume fraction (overrides preset)"),
         "wt": ("float", math.nan, "filler mass fraction (converted via densities)"),
         "mu_snub": ("float", math.nan, "snubbing friction exponent"),
-        "homog_order": ("int", 32, "orientation quadrature order"),
+        "homog_order": ("int", 32, "quadrature order of the strained "
+                        "fiber-orientation moment (conductivity)"),
         "onset_order": ("int", 48, "percolation-onset quadrature order"),
         # direct effective-property override (all six or none)
         "E": ("float", math.nan, "Pa"),

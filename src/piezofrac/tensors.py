@@ -1,4 +1,4 @@
-"""Voigt-notation tensor algebra and orientational averaging.
+"""Voigt-notation tensor algebra and closed-form orientation averaging.
 
 Rank-2 symmetric tensors travel as length-6 vectors and rank-4 tensors
 with minor symmetries as 6x6 matrices.  Strain-like vectors carry
@@ -8,6 +8,13 @@ stiffness-like maps (strain -> stress) and concentration-like maps
 (strain -> strain).
 
 Voigt ordering: 11, 22, 33, 23, 13, 12.
+
+The uniform orientation average of a rank-4 tensor is computed in
+closed form, as its isotropic projection (`isotropic_projection`).  For
+a tensor that is transversely isotropic about the fiber axis, spinning
+it about that axis or flipping the axis leaves it unchanged, so the
+average over uniformly distributed fiber axes equals the average over
+all rotations, which is exactly that projection.
 """
 
 from __future__ import annotations
@@ -17,8 +24,13 @@ import numpy as np
 # index pairs for the six Voigt slots
 VOIGT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 
-_I6 = np.eye(6)
 _SQRT2 = np.sqrt(2.0)
+
+# isotropic projectors J = d_ij d_kl / 3 and K = I_sym - J
+_DELTA = np.eye(3)
+_J = np.einsum("ij,kl->ijkl", _DELTA, _DELTA) / 3.0
+_K = 0.5 * (np.einsum("ik,jl->ijkl", _DELTA, _DELTA)
+            + np.einsum("il,jk->ijkl", _DELTA, _DELTA)) - _J
 
 
 def strain_to_voigt(eps):
@@ -100,65 +112,6 @@ def full_to_strain_map(T):
     return out
 
 
-def rotation_from_euler(gamma1, gamma2):
-    """Rotation carrying the local frame to the global one.
-
-    The local x3 axis (the filler axis) maps to the unit vector with
-    azimuth gamma1 and polar angle gamma2:
-        m = (cos g1 sin g2, sin g1 sin g2, cos g2).
-    """
-    c1, s1 = np.cos(gamma1), np.sin(gamma1)
-    c2, s2 = np.cos(gamma2), np.sin(gamma2)
-    Rz = np.array([[c1, -s1, 0.0], [s1, c1, 0.0], [0.0, 0.0, 1.0]])
-    Ry = np.array([[c2, 0.0, s2], [0.0, 1.0, 0.0], [-s2, 0.0, c2]])
-    return Rz @ Ry
-
-
-def bond_stress_matrix(R):
-    """6x6 Bond matrix M with [sigma'] = M [sigma]."""
-    R = np.asarray(R, dtype=float)
-    M = np.empty((6, 6))
-    for I, (i, j) in enumerate(VOIGT_PAIRS):
-        for J, (k, l) in enumerate(VOIGT_PAIRS):
-            if J < 3:
-                M[I, J] = R[i, k] * R[j, k]
-            else:
-                M[I, J] = R[i, k] * R[j, l] + R[i, l] * R[j, k]
-    return M
-
-
-def bond_strain_matrix(R):
-    """6x6 Bond matrix N with [eps'] = N [eps] (engineering shears)."""
-    R = np.asarray(R, dtype=float)
-    N = np.empty((6, 6))
-    for I, (i, j) in enumerate(VOIGT_PAIRS):
-        for J, (k, l) in enumerate(VOIGT_PAIRS):
-            if I < 3:
-                if J < 3:
-                    N[I, J] = R[i, k] * R[j, k]
-                else:
-                    N[I, J] = R[i, k] * R[j, l]
-            else:
-                if J < 3:
-                    N[I, J] = 2.0 * R[i, k] * R[j, k]
-                else:
-                    N[I, J] = R[i, k] * R[j, l] + R[i, l] * R[j, k]
-    return N
-
-
-def rotate_stiffness(C, R):
-    """Rotate a 6x6 stiffness: C' = M C M^T with the stress Bond matrix."""
-    M = bond_stress_matrix(R)
-    return M @ np.asarray(C, dtype=float) @ M.T
-
-
-def rotate_strain_map(A, R):
-    """Rotate a 6x6 strain->strain map: A' = N A N^{-1} = N A M^T."""
-    N = bond_strain_matrix(R)
-    M = bond_stress_matrix(R)
-    return N @ np.asarray(A, dtype=float) @ M.T
-
-
 def isotropic_stiffness(E, nu):
     """6x6 isotropic stiffness from Young's modulus and Poisson ratio."""
     if E <= 0.0:
@@ -174,61 +127,33 @@ def isotropic_stiffness(E, nu):
     return C
 
 
+def isotropic_projection(T):
+    """Uniform orientation average of a minor-symmetric rank-4 tensor T.
+
+    Returns the full isotropic tensor 3 alpha J + beta K with
+    alpha = T_iijj / 9 and beta = (T_ijij - 3 alpha) / 5 (Walpole, Adv.
+    Appl. Mech. 21, 1981).  T_iijj and T_ijij are the only rotation
+    invariants linear in T, so this is the exact average of T over all
+    rotations; T needs no major symmetry.
+    """
+    T = np.asarray(T, dtype=float)
+    alpha = np.einsum("iijj->", T) / 9.0
+    beta = (np.einsum("ijij->", T) - 3.0 * alpha) / 5.0
+    return 3.0 * alpha * _J + beta * _K
+
+
 def isotropic_part(C):
     """Closest isotropic stiffness to C plus a relative anisotropy measure.
 
     Returns (C_iso, E, nu, aniso) where aniso = ||C - C_iso||_F / ||C||_F.
     """
-    T = stiffness_to_full(C)
-    h1 = np.einsum('iijj->', T)          # 9*lam + 6*mu
-    h2 = np.einsum('ijij->', T)          # 3*lam + 12*mu
-    mu = (3.0 * h2 - h1) / 30.0
-    lam = (2.0 * h1 - h2) / 15.0
+    C_iso = full_to_stiffness(isotropic_projection(stiffness_to_full(C)))
+    lam, mu = C_iso[0, 1], C_iso[3, 3]
     E = mu * (3.0 * lam + 2.0 * mu) / (lam + mu)
     nu = lam / (2.0 * (lam + mu))
-    C_iso = np.zeros((6, 6))
-    C_iso[:3, :3] = lam
-    C_iso[np.arange(3), np.arange(3)] += 2.0 * mu
-    C_iso[np.arange(3, 6), np.arange(3, 6)] = mu
     # frame-invariant (Kelvin) norm: weight shear rows/columns by sqrt(2)
     k = np.array([1.0, 1.0, 1.0, _SQRT2, _SQRT2, _SQRT2])
     w = np.outer(k, k)
     nrm = np.linalg.norm(C * w)
     aniso = np.linalg.norm((C - C_iso) * w) / nrm if nrm > 0.0 else 0.0
     return C_iso, E, nu, aniso
-
-
-def gauss_legendre(a, b, order):
-    """Nodes and weights of the Gauss-Legendre rule mapped onto [a, b]."""
-    if order < 2:
-        raise ValueError(f"quadrature order must be >= 2, got {order}")
-    x, w = np.polynomial.legendre.leggauss(order)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
-
-
-def uniform_odf(gamma1, gamma2):
-    """Uniform orientation density over the quarter sphere."""
-    return 1.0 / (2.0 * np.pi)
-
-
-def orientational_average(fn, odf=None, order=32):
-    """Average fn(gamma1, gamma2) over orientations.
-
-    Integrates fn * odf * sin(gamma2) over gamma1 in [0, 2pi) and
-    gamma2 in [0, pi/2] with a product Gauss-Legendre rule.  The default
-    density 1/(2pi) integrates to one over that domain, so the result is
-    a plain average for the uniform case.  fn may return scalars or
-    ndarrays of fixed shape.
-    """
-    if odf is None:
-        odf = uniform_odf
-    g1, w1 = gauss_legendre(0.0, 2.0 * np.pi, order)
-    g2, w2 = gauss_legendre(0.0, 0.5 * np.pi, order)
-    acc = None
-    for a1, wa in zip(g1, w1):
-        for a2, wb in zip(g2, w2):
-            weight = wa * wb * odf(a1, a2) * np.sin(a2)
-            val = np.asarray(fn(a1, a2), dtype=float) * weight
-            acc = val if acc is None else acc + val
-    return acc

@@ -1,16 +1,15 @@
-"""Tests of the Voigt/rotation toolbox.
+"""Tests of the Voigt toolbox and the closed-form orientation average.
 
-Rotation matrices built from Euler angles are cross-checked against
-full fourth-order index gymnastics, and the engineering-shear
-bookkeeping is exercised through round trips and invariants.
+The engineering-shear bookkeeping is exercised through round trips and
+invariants.  Rotations act on full fourth-order tensors by index
+gymnastics, and the isotropic projection is checked against a
+quadrature over fiber directions written here.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from piezofrac import tensors
+from piezofrac import elastic, materials, tensors
 
 
 def _rng(seed=0):
@@ -18,9 +17,23 @@ def _rng(seed=0):
 
 
 def _random_rotation(rng):
-    g1 = rng.uniform(0.0, 2.0 * np.pi)
-    g2 = rng.uniform(0.0, np.pi)
-    return tensors.rotation_from_euler(g1, g2)
+    Q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    Q = Q * np.sign(np.diag(r))
+    return Q if np.linalg.det(Q) > 0.0 else -Q
+
+
+def _rotate(T, R):
+    """Full rank-4 tensor T rotated by R."""
+    return np.einsum("ip,jq,kr,ls,pqrs->ijkl", R, R, R, R, T)
+
+
+def _axis_rotation(axis, angle):
+    """Right-handed rotation by angle about coordinate axis 0, 1 or 2."""
+    c, s = np.cos(angle), np.sin(angle)
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    R = np.eye(3)
+    R[i, i], R[i, j], R[j, i], R[j, j] = c, -s, s, c
+    return R
 
 
 def _random_stiffness(rng):
@@ -113,86 +126,6 @@ def test_strain_map_acts_on_engineering_strain():
     assert np.allclose(tensors.strain_to_voigt(local_full), local_voigt)
 
 
-def test_rotation_from_euler_is_orthonormal():
-    rng = _rng(8)
-    for _ in range(20):
-        R = _random_rotation(rng)
-        assert np.allclose(R @ R.T, np.eye(3), atol=1e-14)
-        assert np.isclose(np.linalg.det(R), 1.0)
-
-
-def test_rotation_maps_local_axis_to_unit_sphere_direction():
-    """The local fiber axis x3 lands on the spherical direction (g1, g2)."""
-    for g1, g2 in [(0.3, 0.7), (2.1, 1.2), (5.9, 0.1), (0.0, 0.0)]:
-        R = tensors.rotation_from_euler(g1, g2)
-        m = R @ np.array([0.0, 0.0, 1.0])
-        want = np.array([np.cos(g1) * np.sin(g2),
-                         np.sin(g1) * np.sin(g2),
-                         np.cos(g2)])
-        assert np.allclose(m, want, atol=1e-14)
-
-
-def test_bond_matrices_are_inverse_transposes():
-    rng = _rng(9)
-    for _ in range(10):
-        R = _random_rotation(rng)
-        M = tensors.bond_stress_matrix(R)
-        N = tensors.bond_strain_matrix(R)
-        assert np.allclose(N, np.linalg.inv(M).T, atol=1e-12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.floats(0.0, 2.0 * np.pi), st.floats(0.0, np.pi),
-       st.floats(0.0, 2.0 * np.pi), st.floats(0.0, np.pi))
-def test_bond_matrices_respect_composition(a1, a2, b1, b2):
-    """Bond matrices form a representation: M(R1 R2) = M(R1) M(R2)."""
-    R1 = tensors.rotation_from_euler(a1, a2)
-    R2 = tensors.rotation_from_euler(b1, b2)
-    M12 = tensors.bond_stress_matrix(R1 @ R2)
-    assert np.allclose(M12, tensors.bond_stress_matrix(R1)
-                       @ tensors.bond_stress_matrix(R2), atol=1e-10)
-    N12 = tensors.bond_strain_matrix(R1 @ R2)
-    assert np.allclose(N12, tensors.bond_strain_matrix(R1)
-                       @ tensors.bond_strain_matrix(R2), atol=1e-10)
-
-
-def test_rotate_stiffness_matches_full_tensor_rotation():
-    rng = _rng(10)
-    for _ in range(5):
-        C = _random_stiffness(rng)
-        R = _random_rotation(rng)
-        T = tensors.stiffness_to_full(C)
-        T_rot = np.einsum("ip,jq,kr,ls,pqrs->ijkl", R, R, R, R, T)
-        assert np.allclose(tensors.rotate_stiffness(C, R),
-                           tensors.full_to_stiffness(T_rot), atol=1e-10)
-
-
-def test_rotate_strain_map_matches_full_tensor_rotation():
-    rng = _rng(11)
-    for _ in range(5):
-        A = _random_strain_map(rng)
-        R = _random_rotation(rng)
-        T = tensors.strain_map_to_full(A)
-        T_rot = np.einsum("ip,jq,kr,ls,pqrs->ijkl", R, R, R, R, T)
-        assert np.allclose(tensors.rotate_strain_map(A, R),
-                           tensors.full_to_strain_map(T_rot), atol=1e-10)
-
-
-def test_rotation_preserves_kelvin_eigenvalues():
-    """Eigenvalues of the Kelvin-normalized stiffness are frame invariants."""
-    rng = _rng(12)
-    m = np.array([1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0)])
-    C = _random_stiffness(rng)
-    ev0 = np.sort(np.linalg.eigvalsh(C * np.outer(m, m) / 2.0
-                                     + (C * np.outer(m, m) / 2.0).T))
-    for _ in range(5):
-        R = _random_rotation(rng)
-        Cr = tensors.rotate_stiffness(C, R)
-        ev = np.sort(np.linalg.eigvalsh(Cr * np.outer(m, m) / 2.0
-                                        + (Cr * np.outer(m, m) / 2.0).T))
-        assert np.allclose(ev, ev0, rtol=1e-9, atol=1e-9)
-
-
 def test_isotropic_stiffness_layout():
     E, nu = 2.5e9, 0.28
     C = tensors.isotropic_stiffness(E, nu)
@@ -203,8 +136,9 @@ def test_isotropic_stiffness_layout():
     assert np.isclose(C[3, 3], mu)
     assert np.allclose(C, C.T)
     # rotation invariance
-    R = tensors.rotation_from_euler(0.9, 0.4)
-    assert np.allclose(tensors.rotate_stiffness(C, R), C, atol=1e-6 * E)
+    T = tensors.stiffness_to_full(C)
+    R = _random_rotation(_rng(14))
+    assert np.allclose(_rotate(T, R), T, atol=1e-6 * E)
 
 
 def test_isotropic_stiffness_rejects_bad_moduli():
@@ -233,63 +167,60 @@ def test_isotropic_part_invariant_under_rotation():
     _, E0, nu0, a0 = tensors.isotropic_part(C)
     for _ in range(5):
         R = _random_rotation(rng)
-        _, E, nu, a = tensors.isotropic_part(tensors.rotate_stiffness(C, R))
+        C_rot = tensors.full_to_stiffness(
+            _rotate(tensors.stiffness_to_full(C), R))
+        _, E, nu, a = tensors.isotropic_part(C_rot)
         assert np.isclose(E, E0, rtol=1e-9)
         assert np.isclose(nu, nu0, rtol=1e-9)
         assert np.isclose(a, a0, rtol=1e-6, atol=1e-12)
 
 
-def test_gauss_legendre_polynomial_exactness():
-    x, w = tensors.gauss_legendre(-1.5, 2.0, 6)
-    # order-6 rule integrates degree-11 polynomials exactly
-    val = np.sum(w * x ** 11)
-    exact = (2.0 ** 12 - (-1.5) ** 12) / 12.0
-    assert np.isclose(val, exact, rtol=1e-13)
-    assert np.isclose(np.sum(w), 3.5)
+def _fiber_average(T, n=32):
+    """Average of T carried along fiber axes uniform on the half sphere.
+
+    The local x3 axis goes to (cos g1 sin g2, sin g1 sin g2, cos g2);
+    g1 in [0, 2pi) and g2 in [0, pi/2] use a product Gauss-Legendre
+    rule with the sin(g2) area weight.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    acc = np.zeros((3, 3, 3, 3))
+    for g1, w1 in zip(np.pi * (x + 1.0), np.pi * w):
+        for g2, w2 in zip(0.25 * np.pi * (x + 1.0), 0.25 * np.pi * w):
+            R = _axis_rotation(2, g1) @ _axis_rotation(1, g2)
+            acc += w1 * w2 * np.sin(g2) * _rotate(T, R)
+    return acc / (2.0 * np.pi)
 
 
-def test_gauss_legendre_rejects_tiny_order():
-    with pytest.raises(ValueError):
-        tensors.gauss_legendre(0.0, 1.0, 1)
+def _transversely_isotropic(rng):
+    """Random minor-symmetric tensor, no major symmetry, with the
+    symmetry of a fiber about x3: averaged over the dihedral group of
+    eight spins about x3 and the half turn that flips x3."""
+    T = tensors.strain_map_to_full(_random_strain_map(rng))
+    flip = _axis_rotation(0, np.pi)
+    group = [_axis_rotation(2, 0.25 * np.pi * k) @ f
+             for k in range(8) for f in (np.eye(3), flip)]
+    return sum(_rotate(T, R) for R in group) / len(group)
 
 
-def test_uniform_average_of_fiber_dyad_is_isotropic():
-    """<m x m> over the uniform orientation density is I/3."""
-    def dyad(g1, g2):
-        m = tensors.rotation_from_euler(g1, g2) @ np.array([0.0, 0.0, 1.0])
-        return np.outer(m, m)
-
-    M2 = tensors.orientational_average(dyad, order=16)
-    assert np.allclose(M2, np.eye(3) / 3.0, atol=1e-12)
-
-
-def test_uniform_average_of_anisotropic_stiffness_is_isotropic():
-    C_loc = tensors.isotropic_stiffness(2.5e9, 0.3)
-    C_loc = C_loc.copy()
-    C_loc[2, 2] *= 40.0  # strongly transversely isotropic about x3
-    C_loc[3, 3] *= 3.0
-    C_loc[4, 4] *= 3.0
-
-    def rotated(g1, g2):
-        return tensors.rotate_stiffness(C_loc, tensors.rotation_from_euler(g1, g2))
-
-    C_avg = tensors.orientational_average(rotated, order=32)
-    _, _, _, aniso = tensors.isotropic_part(C_avg)
-    assert aniso < 1e-8
-    assert np.allclose(C_avg, C_avg.T, atol=1e-6)
+def _mwcnt_phase_tensors():
+    spec = materials.preset("mwcnt_epoxy", f_p0=0.02)
+    C_m = tensors.isotropic_stiffness(spec.E_m, spec.nu_m)
+    C_p = tensors.isotropic_stiffness(spec.E_cnt, spec.nu_cnt)
+    S = elastic.eshelby_prolate(spec.kappa, spec.nu_m)
+    A = elastic.dilute_concentration(C_p, C_m, S)
+    return {"A_p": tensors.strain_map_to_full(A),
+            "CA_p": tensors.stiffness_to_full(C_p @ A)}
 
 
-def test_orientational_average_respects_custom_density():
-    """A density concentrated at the pole picks out the unrotated tensor."""
-    def dyad(g1, g2):
-        m = tensors.rotation_from_euler(g1, g2) @ np.array([0.0, 0.0, 1.0])
-        return np.outer(m, m)
-
-    # sharply peaked toward g2 = 0, normalized numerically inside the average
-    def odf(g1, g2):
-        return np.exp(-200.0 * g2 ** 2)
-
-    norm = tensors.orientational_average(lambda a, b: 1.0, odf=odf, order=48)
-    M2 = tensors.orientational_average(dyad, odf=odf, order=48) / norm
-    assert M2[2, 2] > 0.98
-    assert abs(M2[0, 0]) < 0.02
+@pytest.mark.parametrize("name", ["A_p", "CA_p", "random"])
+def test_isotropic_projection_is_uniform_fiber_average(name):
+    """The closed form equals the quadrature over fiber directions for
+    tensors transversely isotropic about the fiber axis."""
+    if name == "random":
+        T = _transversely_isotropic(_rng(15))
+        assert not np.allclose(T, T.transpose(2, 3, 0, 1))
+    else:
+        T = _mwcnt_phase_tensors()[name]
+    want = _fiber_average(T)
+    got = tensors.isotropic_projection(T)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
