@@ -127,29 +127,6 @@ def equivalent_cylinder(sigma_L, sigma_T, r, L, t, sigma_int):
     return sL, sT, mult
 
 
-def strained_volume_fraction(f_p0, strain=None):
-    """Filler volume fraction after a small deformation of the sample.
-
-    The fiber volume is strain-invariant while the sample volume scales
-    with the product of principal stretches.
-    """
-    if strain is None:
-        return f_p0
-    lam = principal_stretches(strain)
-    vol = lam[0] * lam[1] * lam[2]
-    if vol <= 0.0:
-        raise ValueError("deformation inverts the volume")
-    return f_p0 / vol
-
-
-def principal_stretches(strain):
-    """Principal stretches (1 + principal strains) of a 3x3 strain."""
-    strain = np.asarray(strain, dtype=float)
-    if strain.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 strain, got shape {strain.shape}")
-    return 1.0 + np.linalg.eigvalsh(strain)
-
-
 def strained_odf(stretches):
     """Fiber orientation density after affine reorientation.
 
@@ -351,20 +328,3 @@ def piezoresistivity_coeffs(spec, delta=1e-5, order=32, onset_order=48):
             "piezoresistive sensitivities not converged in the step size: "
             f"l11 {l11:.6g} -> {l11_h:.6g}, l12 {l12:.6g} -> {l12_h:.6g}")
     return rho0, l11, l12
-
-
-def resistivity_update(rho0, lam11, lam12, strain_voigt):
-    """Strained 3x3 resistivity rho0 (I + r) from the linearized law.
-
-    strain_voigt carries engineering shears; the shear sensitivity is
-    (lam11 - lam12)/2 on the engineering component.
-    """
-    v = np.asarray(strain_voigt, dtype=float)
-    lam44 = 0.5 * (lam11 - lam12)
-    e1, e2, e3, g23, g13, g12 = v
-    r = np.array([
-        [lam11 * e1 + lam12 * (e2 + e3), lam44 * g12, lam44 * g13],
-        [lam44 * g12, lam11 * e2 + lam12 * (e1 + e3), lam44 * g23],
-        [lam44 * g13, lam44 * g23, lam11 * e3 + lam12 * (e1 + e2)],
-    ])
-    return rho0 * (np.eye(3) + r)

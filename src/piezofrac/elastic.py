@@ -203,35 +203,6 @@ def effective_engineering_constants(spec):
     return E, nu
 
 
-def critical_length(theta, spec):
-    """Fiber length below which an inclined bridging fiber pulls out.
-
-    Raises for inclinations at which the inclined-fiber strength is
-    not positive.
-    """
-    sig = spec.sigma_ult * (1.0 - spec.A_snub * math.tan(theta))
-    if sig <= 0.0:
-        raise ValueError(
-            f"inclined fiber strength not positive at theta={theta}")
-    return sig * spec.D_cnt / (2.0 * spec.tau_int * math.exp(spec.mu_snub * theta))
-
-
-def bridging_work(l, theta, spec):
-    """Work of a single bridging fiber with embedded length l at angle theta.
-
-    Short embedded lengths pull out against interfacial friction; longer
-    ones load the fiber to rupture.
-    """
-    if l < 0.0:
-        raise ValueError(f"embedded length must be >= 0, got {l}")
-    sig = spec.sigma_ult * (1.0 - spec.A_snub * math.tan(theta))
-    lc = sig * spec.D_cnt / (2.0 * spec.tau_int * math.exp(spec.mu_snub * theta))
-    if l < 0.5 * lc:
-        return 0.5 * l * l * spec.tau_int * np.pi * spec.D_cnt * math.exp(spec.mu_snub * theta)
-    return (np.pi * spec.D_cnt ** 2 * spec.sigma_ult ** 2 * spec.L_cnt
-            / (8.0 * spec.E_cnt))
-
-
 def orientation_density(p, q, theta_min=0.0, theta_max=0.5 * np.pi):
     """Normalized fiber inclination density on [theta_min, theta_max].
 
@@ -271,10 +242,14 @@ def fracture_energy(spec):
     A_cnt = np.pi * D ** 2 / 4.0
     W_rup = np.pi * D ** 2 * sig_u ** 2 * L / (8.0 * E_f)
 
+    def crit_len(th):
+        # fiber length below which a fiber inclined at th pulls out
+        # instead of rupturing; not positive where its strength is not
+        return sig_u * (1.0 - A * math.tan(th)) * D / (2.0 * tau * math.exp(mu * th))
+
     def inner(th):
         # exact integral of the piecewise work over embedded length
-        sig = sig_u * (1.0 - A * math.tan(th)) if th < 0.5 * np.pi else -math.inf
-        lc = sig * D / (2.0 * tau * math.exp(mu * th))
+        lc = crit_len(th) if th < 0.5 * np.pi else -math.inf
         lc = min(max(0.5 * lc, 0.0), 0.5 * L)
         pull = 0.5 * tau * np.pi * D * math.exp(mu * th) * lc ** 3 / 3.0
         return pull + (0.5 * L - lc) * W_rup
@@ -286,8 +261,7 @@ def fracture_energy(spec):
         pts.append(th_hi)
 
     def lc_gap(th):
-        sig = sig_u * (1.0 - A * math.tan(th))
-        return sig * D / (2.0 * tau * math.exp(mu * th)) - L
+        return crit_len(th) - L
 
     lo = spec.theta_min
     hi = min(spec.theta_max, th_hi * (1.0 - 1e-12))

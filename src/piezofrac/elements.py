@@ -150,15 +150,6 @@ class DofMap:
     def phi_dofs(self, nodes):
         return self.off_phi + np.asarray(nodes, dtype=np.int64)
 
-    def d_dofs(self, nodes):
-        return self.off_d + np.asarray(nodes, dtype=np.int64)
-
-    def block(self, name):
-        """Global index range of one field block."""
-        return {"u": (0, self.off_phi),
-                "phi": (self.off_phi, self.off_d),
-                "d": (self.off_d, self.ndof)}[name]
-
 
 class Constraints:
     """Dirichlet table: fixed DOF ids with prescribed values.

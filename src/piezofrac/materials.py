@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-import numpy as np
-
 from . import conduction, elastic
 
 
@@ -107,10 +105,6 @@ class CompositeSpec:
 
     def with_filler(self, f_p0):
         return replace(self, f_p0=f_p0)
-
-    @classmethod
-    def from_mass_fraction(cls, w_p, rho_f, rho_m, **kwargs):
-        return cls(f_p0=mass_to_volume_fraction(w_p, rho_f, rho_m), **kwargs)
 
 
 @dataclass(frozen=True)

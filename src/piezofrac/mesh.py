@@ -41,10 +41,6 @@ class Mesh:
     def n_nodes(self):
         return self.nodes.shape[0]
 
-    @property
-    def n_active(self):
-        return int(np.count_nonzero(self.active))
-
     def centroids(self):
         return self.nodes[self.elems].mean(axis=1)
 

@@ -8,7 +8,7 @@ recorded so front ends can log them.  All physical quantities are SI
 """
 
 import math
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 
 from . import materials
 
@@ -494,7 +494,3 @@ def canned(name):
 def canned_names():
     return sorted(_CANNED)
 
-
-def canned_text(name):
-    """Raw config text of a built-in scenario (for export/inspection)."""
-    return _CANNED[name].strip() + "\n"

@@ -163,9 +163,10 @@ class CoupledSystem:
         """Strained conductivity tensor per Gauss point.
 
         Inverse of rho0 (I + r) with r the linearized piezoresistive
-        map of the local strain; in 2D only the in-plane (membrane)
-        strain feeds the law and the in-plane resistivity block is
-        inverted.
+        map of the local strain: lam11 on the aligned normal strain,
+        lam12 on the other two, and lam44 = (lam11 - lam12)/2 on each
+        engineering shear.  In 2D only the in-plane (membrane) strain
+        feeds the law and the in-plane resistivity block is inverted.
         """
         m = self.mat
         l11, l12, l44 = m.lam11, m.lam12, self.lam44
@@ -233,36 +234,37 @@ class CoupledSystem:
             raise StepFailure(f"non-finite residual from active elements {bad}")
         return R
 
-    def block_matrices(self, x, H):
-        """Sparse symmetric stiffness of each field block at state x.
+    def block_matrix(self, k, x, H):
+        """Sparse symmetric stiffness of field block k at state x.
 
-        These are the exact per-block Jacobians at frozen cross-field
-        values; `solve_step` uses the diagonal blocks of the
-        block-triangular step problem and nothing else.
+        k indexes the blocks in DOF order: 0 displacement, 1 potential,
+        2 damage.  This is the exact Jacobian of that block's residual
+        rows at frozen cross-field values; `solve_step` assembles each
+        diagonal block of the block-triangular step problem just before
+        it solves it.
         """
         t, dm, m = self.tables, self.dofmap, self.mat
-        eps, d_gp, gphi, gd = self._gauss(x)
         w = t.w
-        h1v = h1(d_gp, m.eps_reg)
-        h2v = h2(d_gp, m.k, m.n, m.eps_reg)
-
-        Ku_e = np.einsum("egKA,egKB,eg->eAB", t.B, self.CB, w * h1v)
-        sig_c = self.conductivity(eps)
-        Kp_e = np.einsum("egai,egij,egbj,eg->eab", t.dNdx, sig_c, t.dNdx,
-                         w * h2v)
-        mass = np.einsum("ga,gb,eg->eab", t.N, t.N,
-                         w * (m.Gc / m.ell + 2.0 * H))
-        Kd_e = mass + m.Gc * m.ell * np.einsum("egai,egbi,eg->eab",
-                                               t.dNdx, t.dNdx, w)
-
-        n = dm.n_nodes
-        Ku = coo_matrix((Ku_e.ravel(), (self.iu, self.ju)),
-                        shape=(dm.off_phi, dm.off_phi)).tocsc()
-        Kp = coo_matrix((Kp_e.ravel(), (self.isc, self.jsc)),
-                        shape=(n, n)).tocsc()
-        Kd = coo_matrix((Kd_e.ravel(), (self.isc, self.jsc)),
-                        shape=(n, n)).tocsc()
-        return Ku, Kp, Kd
+        if k == 0:
+            _, d_gp, _, _ = self._gauss(x)
+            K_e = np.einsum("egKA,egKB,eg->eAB", t.B, self.CB,
+                            w * h1(d_gp, m.eps_reg))
+            rows, cols, n = self.iu, self.ju, dm.off_phi
+        elif k == 1:
+            eps, d_gp, _, _ = self._gauss(x)
+            K_e = np.einsum("egai,egij,egbj,eg->eab", t.dNdx,
+                            self.conductivity(eps), t.dNdx,
+                            w * h2(d_gp, m.k, m.n, m.eps_reg))
+            rows, cols, n = self.isc, self.jsc, dm.n_nodes
+        elif k == 2:
+            mass = np.einsum("ga,gb,eg->eab", t.N, t.N,
+                             w * (m.Gc / m.ell + 2.0 * H))
+            K_e = mass + m.Gc * m.ell * np.einsum("egai,egbi,eg->eab",
+                                                  t.dNdx, t.dNdx, w)
+            rows, cols, n = self.isc, self.jsc, dm.n_nodes
+        else:
+            raise ValueError(f"block index must be 0, 1 or 2, got {k}")
+        return coo_matrix((K_e.ravel(), (rows, cols)), shape=(n, n)).tocsc()
 
 
 # ------------------------------------------------------------- stepping
@@ -306,10 +308,10 @@ def solve_step(system, state, constraints, cfg=None, d_floor=None):
     x[fixed] = vals
     H = state.H
     solves = 0
-    # (free DOFs, block offset, index into block_matrices)
+    # (free DOFs, block offset, block index)
     for f, off, k in ((fd, dm.off_d, 2), (fu, 0, 0), (fp, dm.off_phi, 1)):
         if f.size:
-            K = system.block_matrices(x, H)[k]
+            K = system.block_matrix(k, x, H)
             R = system.residual(x, H)
             x[f] -= splu(K[f - off][:, f - off]).solve(R[f])
             solves += 1

@@ -33,33 +33,6 @@ _K = 0.5 * (np.einsum("ik,jl->ijkl", _DELTA, _DELTA)
             + np.einsum("il,jk->ijkl", _DELTA, _DELTA)) - _J
 
 
-def strain_to_voigt(eps):
-    """3x3 symmetric strain -> length-6 vector with engineering shears."""
-    eps = np.asarray(eps, dtype=float)
-    return np.array([eps[0, 0], eps[1, 1], eps[2, 2],
-                     2.0 * eps[1, 2], 2.0 * eps[0, 2], 2.0 * eps[0, 1]])
-
-
-def voigt_to_strain(v):
-    v = np.asarray(v, dtype=float)
-    return np.array([[v[0], 0.5 * v[5], 0.5 * v[4]],
-                     [0.5 * v[5], v[1], 0.5 * v[3]],
-                     [0.5 * v[4], 0.5 * v[3], v[2]]])
-
-
-def stress_to_voigt(sig):
-    sig = np.asarray(sig, dtype=float)
-    return np.array([sig[0, 0], sig[1, 1], sig[2, 2],
-                     sig[1, 2], sig[0, 2], sig[0, 1]])
-
-
-def voigt_to_stress(v):
-    v = np.asarray(v, dtype=float)
-    return np.array([[v[0], v[5], v[4]],
-                     [v[5], v[1], v[3]],
-                     [v[4], v[3], v[2]]])
-
-
 def stiffness_to_full(C):
     """6x6 stiffness -> full C_ijkl (both minor symmetries restored)."""
     C = np.asarray(C, dtype=float)

@@ -1,7 +1,5 @@
 """Command-line entry points and exit codes."""
 
-import numpy as np
-
 from piezofrac import cli
 
 CRACKING = """

@@ -233,34 +233,6 @@ def test_effective_stiffness_rejects_overfilled_interphase(panel):
 # --------------------------------------------------------- fiber bridging
 
 
-def test_critical_length_normal_incidence(panel):
-    # sigma_ult * D / (2 tau), no snubbing at zero inclination
-    want = panel.sigma_ult * panel.D_cnt / (2.0 * panel.tau_int)
-    assert np.isclose(elastic.critical_length(0.0, panel), want, rtol=1e-14)
-    assert np.isclose(want, 3.853723404255319e-06, rtol=1e-12)
-
-
-def test_critical_length_rejects_dead_inclinations(panel):
-    # inclined strength hits zero at tan(theta) = 1/A
-    theta_dead = np.arctan(1.0 / panel.A_snub) + 1e-3
-    with pytest.raises(ValueError):
-        elastic.critical_length(theta_dead, panel)
-
-
-def test_bridging_work_piecewise(panel):
-    lc = elastic.critical_length(0.0, panel)
-    l_short = 0.25 * lc
-    W = elastic.bridging_work(l_short, 0.0, panel)
-    want = 0.5 * l_short ** 2 * panel.tau_int * np.pi * panel.D_cnt
-    assert np.isclose(W, want, rtol=1e-14)
-    # rupture plateau value, frozen against hand evaluation
-    W_rup = elastic.bridging_work(0.9 * panel.L_cnt / 2.0, 0.0, panel)
-    assert np.isclose(W_rup, 2.3631085220305809e-13, rtol=1e-12)
-    assert elastic.bridging_work(0.0, 0.0, panel) == 0.0
-    with pytest.raises(ValueError):
-        elastic.bridging_work(-1e-9, 0.0, panel)
-
-
 def test_fracture_energy_zero_filler_is_matrix_value(panel):
     assert elastic.fracture_energy(panel.with_filler(0.0)) == panel.G0
 
@@ -315,11 +287,20 @@ def test_fracture_energy_against_fixed_grid_integration(panel):
 
 
 def test_snubbing_friction_raises_single_fiber_pullout_work(panel):
-    """Friction amplifies the pull-out work of one inclined fiber."""
-    spec = replace(panel, mu_snub=0.5)
-    theta, l = 0.4, 0.2e-6  # pull-out regime for both friction levels
-    assert (elastic.bridging_work(l, theta, spec)
-            > elastic.bridging_work(l, theta, panel))
+    """Friction amplifies the pull-out work that every fiber contributes.
+
+    With lc > L at every inclination no fiber ruptures, so G_c - G0 is
+    pull-out work alone, whose integrand gains the factor exp(mu theta);
+    under the uniform density that multiplies it by
+    int exp(mu th) cos th dth / int cos th dth = (exp(mu pi/2) - mu) / (1 + mu^2).
+    """
+    tau = 0.4 * panel.sigma_ult * panel.D_cnt / (2.0 * panel.L_cnt)
+    spec = replace(panel, tau_int=tau, A_snub=0.0, mu_snub=0.0)
+    G_plain = elastic.fracture_energy(spec)
+    G_snub = elastic.fracture_energy(replace(spec, mu_snub=0.5))
+    gain = (np.exp(0.25 * np.pi) - 0.5) / 1.25
+    assert G_snub > G_plain
+    assert np.isclose(G_snub - spec.G0, gain * (G_plain - spec.G0), rtol=1e-8)
 
 
 def test_fracture_energy_with_snubbing_is_finite(panel):

@@ -97,9 +97,6 @@ def test_dofmap_layout():
     assert np.array_equal(dm.u_dofs(nodes, 1), [1, 11])
     assert np.array_equal(dm.u_dofs(nodes).ravel(), [0, 1, 10, 11])
     assert np.array_equal(dm.phi_dofs(nodes), [2 * n, 2 * n + 5])
-    assert np.array_equal(dm.d_dofs(nodes), [3 * n, 3 * n + 5])
-    lo, hi = dm.block("phi")
-    assert (lo, hi) == (2 * n, 3 * n)
 
 
 def test_constraints_build_and_rescale():
@@ -168,6 +165,6 @@ def test_inactive_nodes_auto_pinned():
     assert dead_nodes.size > 0
     for node in dead_nodes:
         for dof in (dm.u_dofs([node]).ravel().tolist()
-                    + [dm.phi_dofs([node])[0], dm.d_dofs([node])[0]]):
+                    + [dm.phi_dofs([node])[0], dm.off_d + node]):
             assert dof in fixed
     assert np.all(vals == 0.0)

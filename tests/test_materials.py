@@ -7,8 +7,8 @@ import pytest
 from dataclasses import replace
 
 from piezofrac import conduction, elastic
-from piezofrac.materials import (CompositeSpec, EffectiveProperties,
-                                 derive_properties, mass_to_volume_fraction)
+from piezofrac.materials import (EffectiveProperties, derive_properties,
+                                 mass_to_volume_fraction)
 
 
 def test_mass_to_volume_fraction_values():
@@ -64,12 +64,7 @@ def test_with_filler_and_from_mass_fraction(panel):
     spec = panel.with_filler(0.04)
     assert spec.f_p0 == 0.04
     assert spec.L_cnt == panel.L_cnt
-    spec2 = CompositeSpec.from_mass_fraction(
-        0.005, 1350.0, 1150.0,
-        L_cnt=5.39e-6, D_cnt=1.203e-9, E_cnt=950e9, nu_cnt=0.3,
-        E_m=2.79e9, nu_m=0.285, E_i=2.24e9, t_i=31e-9, sigma_cnt=764.91,
-        sigma_m=1e-12, d_c=2.739e-9, lambda_eV=1.93, G0=220.0,
-        sigma_ult=120e9, tau_int=47e6)
+    spec2 = panel.with_filler(mass_to_volume_fraction(0.005, 1350.0, 1150.0))
     assert np.isclose(spec2.f_p0, 0.0042624166048925135, rtol=1e-12)
 
 

@@ -12,7 +12,7 @@ def test_structured_counts_2d():
     m = meshing.structured_mesh((2.0, 1.0), (4, 3), thickness=0.01)
     assert m.n_nodes == 5 * 4
     assert len(m.elems) == 12
-    assert m.n_active == 12
+    assert m.active.sum() == 12
     assert m.dim == 2
     assert m.thickness == 0.01
     assert len(m.set_nodes("xmin")) == 4
@@ -31,7 +31,7 @@ def test_structured_counts_3d():
 def test_total_area_matches_domain():
     m = meshing.structured_mesh((0.10, 0.20), (20, 40))
     hx, hy = m.element_size()
-    assert math.isclose(hx * hy * m.n_active, 0.02, rel_tol=1e-12)
+    assert math.isclose(hx * hy * m.active.sum(), 0.02, rel_tol=1e-12)
 
 
 def test_element_connectivity_counterclockwise():
@@ -67,7 +67,7 @@ def test_hole_area_accuracy():
     r = 0.02
     meshing.punch_hole(m, (0.05, 0.10), r)
     cell = np.prod(m.element_size())
-    removed = (len(m.elems) - m.n_active) * cell
+    removed = (len(m.elems) - m.active.sum()) * cell
     assert abs(removed - math.pi * r * r) / (math.pi * r * r) < 0.15
 
 
@@ -105,13 +105,13 @@ def test_cut_slit_deactivates():
     m = meshing.structured_mesh((0.10, 0.20), (40, 80))
     ids = meshing.cut_slit(m, (0.04, 0.10), 0.0, 0.02)
     assert not m.active[ids].any()
-    assert m.n_active == len(m.elems) - ids.size
+    assert m.active.sum() == len(m.elems) - ids.size
 
 
 def test_punch_outside_cylinder_area():
     m = meshing.structured_mesh((0.04, 0.04, 0.05), (20, 20, 5))
     meshing.punch_outside_cylinder(m, (0.02, 0.02), 0.02)
-    kept = m.n_active / len(m.elems)
+    kept = m.active.sum() / len(m.elems)
     assert abs(kept - math.pi / 4.0) < 0.05
 
 
@@ -153,7 +153,7 @@ def test_apply_defects_skips_subcell():
              (np.array([0.05, 0.15]), 0.012)]
     n = meshing.apply_defects(m, holes)
     assert n == 1
-    assert m.n_active < len(m.elems)
+    assert m.active.sum() < len(m.elems)
 
 
 def test_mesh_text_round_trip(tmp_path):
@@ -185,14 +185,14 @@ def test_vtk_writer_structure(tmp_path):
     meshing.write_vtk(path, m,
                       point_data={"phi": np.arange(m.n_nodes, dtype=float),
                                   "u": np.ones((m.n_nodes, 2))},
-                      cell_data={"H": np.zeros(m.n_active)})
+                      cell_data={"H": np.zeros(m.active.sum())})
     text = path.read_text().splitlines()
     assert text[0].startswith("# vtk DataFile")
     assert "DATASET UNSTRUCTURED_GRID" in text
     ipts = next(i for i, l in enumerate(text) if l.startswith("POINTS"))
     assert int(text[ipts].split()[1]) == m.n_nodes
     icell = next(i for i, l in enumerate(text) if l.startswith("CELLS"))
-    assert int(text[icell].split()[1]) == m.n_active
+    assert int(text[icell].split()[1]) == m.active.sum()
     assert any(l.startswith("SCALARS phi") for l in text)
     assert any(l.startswith("VECTORS u") for l in text)
     assert any(l.startswith("CELL_DATA") for l in text)

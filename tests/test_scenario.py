@@ -146,15 +146,17 @@ def test_resolve_weight_fraction_converts():
     assert spec.f_p0 == pytest.approx(want, rel=1e-12)
 
 
-def test_canned_scenarios_all_valid():
+def test_canned_scenarios_all_valid(tmp_path):
     names = scenario.canned_names()
     assert {"validation", "plate", "plate_fp4", "holes", "defects",
             "cylinder", "degradation"} <= set(names)
     for name in names:
         sc = scenario.canned(name)
         assert sc.loading["u_max"] > 0.0
-        # raw text round-trips through the parser
-        sc2 = scenario.parse_text(scenario.canned_text(name), name)
+        # the built-in text reads back the same from a scenario file
+        path = tmp_path / f"{name}.ini"
+        path.write_text(scenario._CANNED[name], encoding="utf-8")
+        sc2 = scenario.parse_scenario(path)
         assert sc2.loading == sc.loading
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from piezofrac import conduction, elements, mesh as meshing, solver, tensors
+from piezofrac import elements, mesh as meshing, solver, tensors
 
 MAT = dict(E=3.6e9, nu=0.27, Gc=180.0, ell=5e-3,
            rho0=9.66, lam11=1.0776, lam12=2.2776)
@@ -13,6 +13,19 @@ MAT = dict(E=3.6e9, nu=0.27, Gc=180.0, ell=5e-3,
 
 def _mat(**kw):
     return solver.MaterialPoint(**{**MAT, **kw})
+
+
+def _resistivity(mat, voigt):
+    """Strained resistivity rho0 (I + r) of the linearized law, written
+    out: the shear sensitivity (lam11 - lam12)/2 acts on engineering
+    shears (Voigt order 11, 22, 33, 23, 13, 12)."""
+    l11, l12 = mat.lam11, mat.lam12
+    l44 = 0.5 * (l11 - l12)
+    e1, e2, e3, g23, g13, g12 = voigt
+    r = np.array([[l11 * e1 + l12 * (e2 + e3), l44 * g12, l44 * g13],
+                  [l44 * g12, l11 * e2 + l12 * (e1 + e3), l44 * g23],
+                  [l44 * g13, l44 * g23, l11 * e3 + l12 * (e1 + e2)]])
+    return mat.rho0 * (np.eye(3) + r)
 
 
 # ------------------------------------------------------- degradation
@@ -103,7 +116,7 @@ def _uniform_strain_system(exx=1e-3, eyy=-4e-4, gxy=3e-4, divisions=(3, 2),
     con.fix("bx", dm.u_dofs(ids, 0), pattern=ux, value=1.0)
     con.fix("by", dm.u_dofs(ids, 1), pattern=uy, value=1.0)
     con.fix("phi", dm.phi_dofs(np.arange(m.n_nodes)))
-    con.fix("d", dm.d_dofs(np.arange(m.n_nodes)))
+    con.fix("d", dm.off_d + np.arange(m.n_nodes))
     return m, sys_, con
 
 
@@ -123,6 +136,16 @@ def test_zero_fields_zero_residual():
     st = sys_.empty_state()
     R = sys_.residual(st.x, st.H)
     assert np.abs(R).max() == 0.0
+
+
+def test_non_finite_residual_names_its_element():
+    m = meshing.structured_mesh((1.0, 1.0), (2, 2))
+    sys_ = solver.CoupledSystem(m, _mat())
+    st = sys_.empty_state()
+    st.H[3, 0] = np.nan
+    with pytest.raises(solver.StepFailure,
+                       match=r"non-finite residual from active elements \[3\]$"):
+        sys_.residual(st.x, st.H)
 
 
 def test_uniform_potential_zero_charge_residual():
@@ -175,7 +198,7 @@ def test_conductivity_matches_resistivity_map():
     eps2 = np.array([[[2e-3, -1e-3, 5e-4]]])
     sig = sys_.conductivity(eps2)[0, 0]
     voigt = np.array([2e-3, -1e-3, 0.0, 0.0, 0.0, 5e-4])
-    rho = conduction.resistivity_update(mat.rho0, mat.lam11, mat.lam12, voigt)
+    rho = _resistivity(mat, voigt)
     assert np.allclose(sig, np.linalg.inv(rho[:2, :2]), rtol=1e-12)
 
 
@@ -186,7 +209,7 @@ def test_conductivity_3d_matches_resistivity_map():
     voigt = np.array([2e-3, -1e-3, 4e-4, 3e-4, -2e-4, 5e-4])
     eps = voigt.reshape(1, 1, 6)
     sig = sys_.conductivity(eps)[0, 0]
-    rho = conduction.resistivity_update(mat.rho0, mat.lam11, mat.lam12, voigt)
+    rho = _resistivity(mat, voigt)
     assert np.allclose(sig, np.linalg.inv(rho), rtol=1e-12)
 
 
@@ -235,10 +258,9 @@ def test_block_jacobians_match_finite_differences():
     x[dm.off_phi:dm.off_d] = rng.standard_normal(n)
     x[dm.off_d:] = rng.uniform(0.0, 0.9, n)
     H = rng.uniform(0.0, 1e4, sys_.tables.w.shape)
-    Ku, Kp, Kd = sys_.block_matrices(x, H)
-    blocks = [(0, dm.off_phi, Ku), (dm.off_phi, dm.off_d, Kp),
-              (dm.off_d, dm.ndof, Kd)]
-    for lo, hi, K in blocks:
+    spans = ((0, dm.off_phi), (dm.off_phi, dm.off_d), (dm.off_d, dm.ndof))
+    for k, (lo, hi) in enumerate(spans):
+        K = sys_.block_matrix(k, x, H)
         e = rng.standard_normal(hi - lo)
         e /= np.linalg.norm(e)
         step = 1e-6 * max(np.abs(x[lo:hi]).max(), 1e-3)
@@ -248,6 +270,8 @@ def test_block_jacobians_match_finite_differences():
         fd = (sys_.residual(xp, H) - sys_.residual(xm, H))[lo:hi] / (2 * step)
         an = K @ e
         assert np.linalg.norm(fd - an) / np.linalg.norm(an) < 1e-6
+    with pytest.raises(ValueError, match="block index"):
+        sys_.block_matrix(3, x, H)
 
 
 def test_history_monotone():

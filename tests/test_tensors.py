@@ -12,6 +12,16 @@ import pytest
 from piezofrac import elastic, materials, tensors
 
 
+# a symmetric strain and its Voigt vector, shears doubled (engineering)
+_EPS = np.array([[1.0, 0.3, -0.2],
+                 [0.3, -0.5, 0.7],
+                 [-0.2, 0.7, 0.4]])
+_EPS_VOIGT = np.array([1.0, -0.5, 0.4, 1.4, -0.4, 0.6])
+
+# fancy index picking the six Voigt slots (11, 22, 33, 23, 13, 12)
+_SLOTS = tuple(np.array(tensors.VOIGT_PAIRS).T)
+
+
 def _rng(seed=0):
     return np.random.default_rng(seed)
 
@@ -54,34 +64,13 @@ def test_voigt_pairs_ordering():
     assert tensors.VOIGT_PAIRS == ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 
 
-def test_strain_voigt_round_trip():
-    rng = _rng(1)
-    eps = rng.normal(size=(3, 3))
-    eps = 0.5 * (eps + eps.T)
-    v = tensors.strain_to_voigt(eps)
-    assert np.allclose(v[3], 2.0 * eps[1, 2])  # engineering shear
-    assert np.allclose(tensors.voigt_to_strain(v), eps, atol=1e-15)
-
-
-def test_stress_voigt_round_trip():
-    rng = _rng(2)
-    sig = rng.normal(size=(3, 3))
-    sig = 0.5 * (sig + sig.T)
-    v = tensors.stress_to_voigt(sig)
-    assert np.allclose(v[3], sig[1, 2])  # no factor on stress shears
-    assert np.allclose(tensors.voigt_to_stress(v), sig, atol=1e-15)
-
-
 def test_energy_consistency_of_voigt_convention():
-    """sigma : eps must equal the Voigt dot product."""
-    rng = _rng(3)
-    eps = rng.normal(size=(3, 3))
-    eps = 0.5 * (eps + eps.T)
-    sig = rng.normal(size=(3, 3))
-    sig = 0.5 * (sig + sig.T)
-    work = np.tensordot(sig, eps)
-    assert np.isclose(
-        tensors.stress_to_voigt(sig) @ tensors.strain_to_voigt(eps), work)
+    """eps : C : eps must equal the Voigt quadratic form with engineering
+    shears."""
+    C = _random_stiffness(_rng(3))
+    T = tensors.stiffness_to_full(C)
+    assert np.isclose(np.einsum("ij,ijkl,kl->", _EPS, T, _EPS),
+                      _EPS_VOIGT @ C @ _EPS_VOIGT)
 
 
 def test_stiffness_full_round_trip():
@@ -95,14 +84,11 @@ def test_stiffness_full_round_trip():
 
 
 def test_stiffness_full_tensor_contraction_matches_voigt():
-    rng = _rng(5)
-    C = _random_stiffness(rng)
-    eps = rng.normal(size=(3, 3))
-    eps = 0.5 * (eps + eps.T)
+    C = _random_stiffness(_rng(5))
     T = tensors.stiffness_to_full(C)
-    sig_full = np.einsum("ijkl,kl->ij", T, eps)
-    sig_voigt = C @ tensors.strain_to_voigt(eps)
-    assert np.allclose(tensors.stress_to_voigt(sig_full), sig_voigt)
+    sig_full = np.einsum("ijkl,kl->ij", T, _EPS)
+    # stress-like Voigt slots carry no factor on the shears
+    assert np.allclose(sig_full[_SLOTS], C @ _EPS_VOIGT)
 
 
 def test_strain_map_full_round_trip():
@@ -116,14 +102,11 @@ def test_strain_map_full_round_trip():
 
 def test_strain_map_acts_on_engineering_strain():
     """A maps macro strain to local strain consistently in both pictures."""
-    rng = _rng(7)
-    A = _random_strain_map(rng)
+    A = _random_strain_map(_rng(7))
     T = tensors.strain_map_to_full(A)
-    eps = rng.normal(size=(3, 3))
-    eps = 0.5 * (eps + eps.T)
-    local_full = np.einsum("ijkl,kl->ij", T, eps)
-    local_voigt = A @ tensors.strain_to_voigt(eps)
-    assert np.allclose(tensors.strain_to_voigt(local_full), local_voigt)
+    local_full = np.einsum("ijkl,kl->ij", T, _EPS)
+    engineering = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+    assert np.allclose(engineering * local_full[_SLOTS], A @ _EPS_VOIGT)
 
 
 def test_isotropic_stiffness_layout():
