@@ -12,16 +12,12 @@ schema error, 3 solver failure.
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_SOLVER = 3
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def _build_parser():
@@ -38,14 +34,14 @@ def _build_parser():
         q.add_argument("--scenario", default=None,
                        help="config path or canned:<name> "
                             "(canned: %s)" % ", ".join(_canned_names()))
-        q.add_argument("--seed", type=int, default=None,
-                       help="RNG seed override")
-        q.add_argument("--replicates", type=int, default=None,
-                       help="Monte Carlo replicate count override")
+        if verb != "props":
+            q.add_argument("--seed", type=int, default=None,
+                           help="RNG seed override")
+        if verb == "mc":
+            q.add_argument("--replicates", type=int, default=None,
+                           help="Monte Carlo replicate count override")
         q.add_argument("--out", default="piezofrac_out",
                        help="output directory (default: %(default)s)")
-        q.add_argument("--threads", type=int, default=None,
-                       help="BLAS/OpenMP thread cap")
         q.add_argument("--schema", action="store_true",
                        help="print the scenario schema and exit")
     return p
@@ -60,24 +56,7 @@ def _canned_names():
         return ["..."]
 
 
-def _apply_threads(threads, argv):
-    """Re-exec with the thread caps in the environment.
-
-    BLAS backends read their thread environment at load time, which
-    has already happened by the time flags are parsed; a one-shot
-    re-exec makes the cap deterministic.
-    """
-    if threads is None or os.environ.get("PIEZOFRAC_THREADS") == str(threads):
-        return
-    env = dict(os.environ)
-    for var in _THREAD_VARS:
-        env[var] = str(threads)
-    env["PIEZOFRAC_THREADS"] = str(threads)
-    os.execvpe(sys.executable,
-               [sys.executable, "-m", "piezofrac.cli"] + list(argv), env)
-
-
-def _load_scenario(arg, seed, replicates):
+def _load_scenario(arg, seed):
     from . import scenario as scen
     if arg is None:
         raise scen.SchemaError("this verb needs --scenario "
@@ -90,8 +69,6 @@ def _load_scenario(arg, seed, replicates):
         raise scen.SchemaError(f"scenario file not found: {arg}")
     if seed is not None:
         sc = sc.replace("mc", seed=seed)
-    if replicates is not None:
-        sc = sc.replace("mc", replicates=replicates)
     return sc
 
 
@@ -99,7 +76,7 @@ def _cmd_props(args):
     from . import runner, scenario as scen
     spec = None
     if args.scenario is not None:
-        sc = _load_scenario(args.scenario, args.seed, args.replicates)
+        sc = _load_scenario(args.scenario, None)
         _, spec = scen.resolve_material(sc)
         if spec is None:
             raise scen.SchemaError(
@@ -119,7 +96,7 @@ def _cmd_props(args):
 
 def _cmd_run(args):
     from . import runner
-    sc = _load_scenario(args.scenario, args.seed, args.replicates)
+    sc = _load_scenario(args.scenario, args.seed)
     _log_defaults(sc)
     if sc.sweep["k_values"] or sc.sweep["n_values"]:
         results = runner.degradation_matrix(sc, out_dir=args.out)
@@ -139,7 +116,7 @@ def _cmd_run(args):
 
 def _cmd_mc(args):
     from . import runner
-    sc = _load_scenario(args.scenario, args.seed, args.replicates)
+    sc = _load_scenario(args.scenario, args.seed)
     _log_defaults(sc)
     summaries, (edges, counts) = runner.monte_carlo(
         sc, replicates=args.replicates, base_seed=args.seed,
@@ -156,10 +133,9 @@ def _cmd_mesh(args):
     import numpy as np
 
     from . import mesh as meshing, runner
-    sc = _load_scenario(args.scenario, args.seed, args.replicates)
+    sc = _load_scenario(args.scenario, args.seed)
     _log_defaults(sc)
-    rng = np.random.default_rng(sc.mc["seed"] if args.seed is None
-                                else args.seed)
+    rng = np.random.default_rng(sc.mc["seed"])
     m, seed_ids, defects = runner.build_mesh(sc, rng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -194,7 +170,6 @@ def main(argv=None):
         from . import scenario as scen
         print(scen.schema_reference())
         return EXIT_OK
-    _apply_threads(args.threads, argv)
 
     from . import scenario as scen
     from .solver import StepFailure

@@ -21,6 +21,13 @@ from typing import NamedTuple
 import numpy as np
 from scipy.constants import e as _E_CHARGE, h as _H_PLANCK, m_e as _M_ELECTRON
 
+# Gauss-Legendre orders of the strained orientation moment and of the
+# percolation-onset pair integral, and the strain step of the
+# piezoresistive finite differences
+_MOMENT_ORDER = 32
+_ONSET_ORDER = 48
+_FD_STEP = 1e-5
+
 
 def percolated_fraction(f_p, f_c):
     """Fraction of filler participating in the percolating network."""
@@ -150,13 +157,13 @@ def strained_odf(stretches):
 
 
 @lru_cache(maxsize=256)
-def _pair_integral(stretches, order):
+def _pair_integral(stretches):
     """Average sine of the angle between fiber pairs under the given ODF.
 
     Both orientations run over [0, pi]^2 with the sin(gamma2) area
     weight; the density is normalized over that domain.
     """
-    x, wq = np.polynomial.legendre.leggauss(order)
+    x, wq = np.polynomial.legendre.leggauss(_ONSET_ORDER)
     g = 0.5 * np.pi * (x + 1.0)
     w = 0.5 * np.pi * wq
     odf = strained_odf(stretches)
@@ -169,9 +176,9 @@ def _pair_integral(stretches, order):
     c, s = np.cos(g), np.sin(g)
     cc = c[:, None, None] * c[None, None, :]
     # cos of angle between (g1,g2) and (g1',g2') depends on g1 - g1';
-    # one g1 row at a time keeps the work array at order**3
-    J = np.empty((order, order))
-    for a in range(order):
+    # one g1 row at a time keeps the work array at _ONSET_ORDER**3
+    J = np.empty((g.size, g.size))
+    for a in range(g.size):
         cosang = (cc + np.cos(g[a] - g)[None, :, None]
                   * s[:, None, None] * s[None, None, :])
         sintau = np.sqrt(np.clip(1.0 - cosang * cosang, 0.0, None))
@@ -179,7 +186,7 @@ def _pair_integral(stretches, order):
     return float(np.sum(J * wh))
 
 
-def percolation_threshold(s, stretches=(1.0, 1.0, 1.0), order=48):
+def percolation_threshold(s, stretches=(1.0, 1.0, 1.0)):
     """Filler fraction at the onset of network percolation.
 
     Based on excluded-volume scaling of slender rods; deformation skews
@@ -187,16 +194,16 @@ def percolation_threshold(s, stretches=(1.0, 1.0, 1.0), order=48):
     """
     if s <= 1.0:
         raise ValueError(f"aspect ratio must exceed 1, got {s}")
-    I = _pair_integral(tuple(float(v) for v in stretches), order)
+    I = _pair_integral(tuple(float(v) for v in stretches))
     return np.pi / (5.77 * s * I)
 
 
-def _second_moment(odf, order):
+def _second_moment(odf):
     """<m x m> of the fiber axis under the normalized density."""
-    g1, w1 = np.polynomial.legendre.leggauss(order)
+    g1, w1 = np.polynomial.legendre.leggauss(_MOMENT_ORDER)
     a1 = np.pi * (g1 + 1.0)            # [0, 2pi]
     w1 = np.pi * w1
-    g2, w2 = np.polynomial.legendre.leggauss(order)
+    g2, w2 = np.polynomial.legendre.leggauss(_MOMENT_ORDER)
     a2 = 0.25 * np.pi * (g2 + 1.0)     # [0, pi/2]
     w2 = 0.25 * np.pi * w2
     A1, A2 = np.meshgrid(a1, a2, indexing="ij")
@@ -220,7 +227,7 @@ def _channel_tensor(sig_L, sig_T, S11, S33, f_eff, sigma_m, M2):
     return xT * np.eye(3) + (xL - xT) * M2
 
 
-def effective_conductivity(spec, strain=None, order=32, onset_order=48):
+def effective_conductivity(spec, strain=None):
     """Effective 3x3 conductivity of the composite at a given strain.
 
     strain is a 3x3 small-strain tensor (None for the virgin state).
@@ -247,12 +254,12 @@ def effective_conductivity(spec, strain=None, order=32, onset_order=48):
         return sigma_m * np.eye(3)
 
     s = spec.kappa
-    f_c = percolation_threshold(s, tuple(lam), order=onset_order)
+    f_c = percolation_threshold(s, tuple(lam))
     xi = percolated_fraction(f_p, f_c)
 
     deformed = strain is not None and bool(np.any(np.abs(lam - 1.0) > 1e-14))
     odf = strained_odf(lam) if deformed else None
-    M2 = _second_moment(odf, order) if deformed else np.eye(3) / 3.0
+    M2 = _second_moment(odf) if deformed else np.eye(3) / 3.0
 
     r_fib = 0.5 * spec.D_cnt
     L = spec.L_cnt
@@ -293,8 +300,7 @@ def _uniaxial(axis, delta):
     return e
 
 
-@lru_cache(maxsize=64)
-def piezoresistivity_coeffs(spec, delta=1e-5, order=32, onset_order=48):
+def piezoresistivity_coeffs(spec):
     """Linearized resistivity sensitivities to normal strain.
 
     Central finite differences of the effective resistivity under a
@@ -302,26 +308,21 @@ def piezoresistivity_coeffs(spec, delta=1e-5, order=32, onset_order=48):
     change of the axial and transverse resistivities per unit strain.
     The step is verified by halving it; a shift beyond 1% raises.
     """
-    if delta <= 0.0:
-        raise ValueError(f"step must be positive, got {delta}")
-
-    sig0 = effective_conductivity(spec, None, order, onset_order)
+    sig0 = effective_conductivity(spec)
     dev = np.abs(sig0 - sig0[0, 0] * np.eye(3)).max() / abs(sig0[0, 0])
     if dev > 1e-6:
         raise ValueError(f"virgin conductivity not isotropic (dev {dev:.2e})")
     rho0 = 1.0 / (np.trace(sig0) / 3.0)
 
     def coeffs(step):
-        rp = np.linalg.inv(effective_conductivity(spec, _uniaxial(0, +step),
-                                                  order, onset_order))
-        rm = np.linalg.inv(effective_conductivity(spec, _uniaxial(0, -step),
-                                                  order, onset_order))
+        rp = np.linalg.inv(effective_conductivity(spec, _uniaxial(0, +step)))
+        rm = np.linalg.inv(effective_conductivity(spec, _uniaxial(0, -step)))
         l11 = (rp[0, 0] - rm[0, 0]) / (2.0 * step * rho0)
         l12 = (rp[1, 1] - rm[1, 1] + rp[2, 2] - rm[2, 2]) / (4.0 * step * rho0)
         return l11, l12
 
-    l11, l12 = coeffs(delta)
-    l11_h, l12_h = coeffs(0.5 * delta)
+    l11, l12 = coeffs(_FD_STEP)
+    l11_h, l12_h = coeffs(0.5 * _FD_STEP)
     scale = max(abs(l11), 1.0)
     if abs(l11_h - l11) > 0.01 * scale or abs(l12_h - l12) > 0.01 * scale:
         raise ValueError(

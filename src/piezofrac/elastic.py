@@ -16,7 +16,6 @@ All inputs are SI.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy import integrate, optimize
@@ -225,7 +224,6 @@ def orientation_density(p, q, theta_min=0.0, theta_max=0.5 * np.pi):
     return lambda th: kernel(th) / norm
 
 
-@lru_cache(maxsize=64)
 def fracture_energy(spec):
     """Critical energy release rate including fiber bridging.
 

@@ -122,14 +122,13 @@ class EffectiveProperties:
 
 
 @lru_cache(maxsize=32)
-def derive_properties(spec, order=32, onset_order=48, fd_delta=1e-5):
+def derive_properties(spec):
     """Run the full homogenization chain for one material record."""
     E, nu = elastic.effective_engineering_constants(spec)
     Gc = elastic.fracture_energy(spec)
     if spec.f_p0 > 0.0:
-        f_c = conduction.percolation_threshold(spec.kappa, order=onset_order)
-        rho0, l11, l12 = conduction.piezoresistivity_coeffs(
-            spec, delta=fd_delta, order=order, onset_order=onset_order)
+        f_c = conduction.percolation_threshold(spec.kappa)
+        rho0, l11, l12 = conduction.piezoresistivity_coeffs(spec)
     else:
         f_c = float("nan")
         rho0, l11, l12 = 1.0 / spec.sigma_m, 0.0, 0.0

@@ -68,11 +68,11 @@ class Mesh:
                            f"available: {sorted(self.node_sets)}") from None
 
 
-def structured_mesh(lengths, divisions, thickness=1.0, origin=None):
+def structured_mesh(lengths, divisions, thickness=1.0):
     """Axis-aligned box grid of quad4 (2D) or hex8 (3D) elements.
 
-    lengths and divisions are per-axis; node sets 'xmin', 'xmax', ...
-    mark the box faces.
+    lengths and divisions are per-axis; the box spans [0, lengths[i]]
+    on axis i, and node sets 'xmin', 'xmax', ... mark its faces.
     """
     lengths = np.asarray(lengths, dtype=float)
     divisions = np.asarray(divisions, dtype=int)
@@ -84,9 +84,7 @@ def structured_mesh(lengths, divisions, thickness=1.0, origin=None):
         raise ValueError(f"bad domain {lengths} or divisions {divisions}")
     if thickness <= 0.0:
         raise ValueError(f"thickness must be positive, got {thickness}")
-    origin = np.zeros(dim) if origin is None else np.asarray(origin, float)
-
-    axes = [origin[i] + np.linspace(0.0, lengths[i], divisions[i] + 1)
+    axes = [np.linspace(0.0, lengths[i], divisions[i] + 1)
             for i in range(dim)]
     if dim == 2:
         nx, ny = divisions
@@ -120,9 +118,8 @@ def structured_mesh(lengths, divisions, thickness=1.0, origin=None):
     for i in range(dim):
         lo, hi = _FACE_NAMES[i]
         tol = 1e-9 * max(lengths)
-        sets[lo] = np.flatnonzero(np.abs(nodes[:, i] - origin[i]) < tol)
-        sets[hi] = np.flatnonzero(
-            np.abs(nodes[:, i] - origin[i] - lengths[i]) < tol)
+        sets[lo] = np.flatnonzero(np.abs(nodes[:, i]) < tol)
+        sets[hi] = np.flatnonzero(np.abs(nodes[:, i] - lengths[i]) < tol)
     return Mesh(nodes=nodes, elems=elems.astype(np.int64),
                 active=np.ones(len(elems), dtype=bool),
                 node_sets=sets, thickness=thickness if dim == 2 else 1.0)

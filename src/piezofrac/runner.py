@@ -146,8 +146,10 @@ def build_case(sc, rng=None):
             f"phase-field length {ell} under-resolved: needs >= "
             f"{pf['ell_over_h']} * h = {pf['ell_over_h'] * h:.4g}")
 
-    mat = solver.MaterialPoint.from_properties(
-        props, ell, k=pf["k"], n=pf["n"], eps_reg=pf["eps_reg"])
+    mat = solver.MaterialPoint(
+        E=props.E, nu=props.nu, Gc=props.Gc, ell=ell, rho0=props.rho0,
+        lam11=props.lam11, lam12=props.lam12, k=pf["k"], n=pf["n"],
+        eps_reg=pf["eps_reg"])
     system = solver.CoupledSystem(m, mat)
     dm = system.dofmap
 
@@ -304,8 +306,7 @@ def degradation_matrix(sc, out_dir=None):
 # ------------------------------------------------------- property sweep
 
 
-def property_sweep(spec, f_p_grid, ar_grid, path=None, order=32,
-                   onset_order=48):
+def property_sweep(spec, f_p_grid, ar_grid, path=None):
     """Homogenized properties over a filler-fraction x aspect-ratio grid.
 
     Rows carry (f_p, AR, E_eff, G_c, sigma_eff, lambda11, f_c); the
@@ -323,9 +324,7 @@ def property_sweep(spec, f_p_grid, ar_grid, path=None, order=32,
     for ar in ar_grid:
         s_ar = replace(base, L_cnt=ar * base.D_cnt)
         for f_p in f_p_grid:
-            p = materials.derive_properties(s_ar.with_filler(f_p),
-                                            order=order,
-                                            onset_order=onset_order)
+            p = materials.derive_properties(s_ar.with_filler(f_p))
             rows.append(dict(f_p=f_p, AR=ar, E_eff=p.E, G_c=p.Gc,
                              sigma_eff=p.sigma0, lambda11=p.lam11,
                              f_c=p.f_c))

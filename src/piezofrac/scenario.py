@@ -48,9 +48,6 @@ _SCHEMA = {
         "f_p": ("float", math.nan, "filler volume fraction (overrides preset)"),
         "wt": ("float", math.nan, "filler mass fraction (converted via densities)"),
         "mu_snub": ("float", math.nan, "snubbing friction exponent"),
-        "homog_order": ("int", 32, "quadrature order of the strained "
-                        "fiber-orientation moment (conductivity)"),
-        "onset_order": ("int", 48, "percolation-onset quadrature order"),
         # direct effective-property override (all six or none)
         "E": ("float", math.nan, "Pa"),
         "nu": ("float", math.nan, "-"),
@@ -60,7 +57,7 @@ _SCHEMA = {
         "lam12": ("float", math.nan, "-"),
     },
     "geometry": {
-        "kind": ("str", "plate", "plate | strip | cylinder"),
+        "kind": ("str", "plate", "plate | cylinder"),
         "length_x": ("float", 0.10, "m"),
         "length_y": ("float", 0.20, "m"),
         "length_z": ("float", 0.0, "m (3D only)"),
@@ -204,7 +201,7 @@ def parse_scenario(path):
 
 def _validate(sc, name):
     g, lo, el, pf = sc.geometry, sc.loading, sc.electrodes, sc.phase_field
-    if g["kind"] not in ("plate", "strip", "cylinder"):
+    if g["kind"] not in ("plate", "cylinder"):
         raise SchemaError(f"{name}: geometry.kind '{g['kind']}' not recognised")
     dim = 3 if g["kind"] == "cylinder" else 2
     if dim == 3 and (g["nz"] < 1 or g["length_z"] <= 0.0):
@@ -264,8 +261,7 @@ def resolve_material(sc):
     if not math.isnan(m["f_p"]):
         over["f_p0"] = m["f_p"]
     spec = materials.preset(m["preset"], **over)
-    props = materials.derive_properties(spec, order=m["homog_order"],
-                                        onset_order=m["onset_order"])
+    props = materials.derive_properties(spec)
     return props, spec
 
 
@@ -289,7 +285,7 @@ _CANNED = {
 preset = dwcnt_epoxy
 wt = 0.005
 [geometry]
-kind = strip
+kind = plate
 length_x = 0.05
 length_y = 0.013
 nx = 40

@@ -72,12 +72,6 @@ class MaterialPoint:
         if self.eps_reg <= 0.0:
             raise ValueError(f"regularization must be positive: {self.eps_reg}")
 
-    @classmethod
-    def from_properties(cls, props, ell, k=50.0, n=6.0, eps_reg=1e-7):
-        return cls(E=props.E, nu=props.nu, Gc=props.Gc, ell=ell,
-                   rho0=props.rho0, lam11=props.lam11, lam12=props.lam12,
-                   k=k, n=n, eps_reg=eps_reg)
-
     def stiffness(self, dim):
         """Voigt stiffness: plane stress (3x3) in 2D, full 6x6 in 3D."""
         if dim == 3:
@@ -375,23 +369,21 @@ class RunResult:
 
 def run_load_program(system, constraints, load_groups, load_values,
                      drive_group, ground_group, voltage,
-                     react_dofs=None, cfg=None, observer=None,
-                     initial=None):
+                     cfg=None, observer=None, initial=None):
     """Displacement-controlled stepping with curve extraction.
 
     load_groups: constraint-group names scaled by each value of
     load_values (monotone program, starting point 0 is implied).
     drive/ground groups name the electrode constraint groups; the
-    reaction force is summed over react_dofs (defaults to the first
-    load group's DOFs).  An observer(step, record, state) callback can
-    dump fields.  A failed step is retried at the midpoint of the
-    increment; after `cfg.max_cutbacks` bisections of one target the run
-    aborts and the last converged state is returned.
+    reaction force is summed over the first load group's DOFs.  An
+    observer(step, record, state) callback can dump fields.  A failed
+    step is retried at the midpoint of the increment; after
+    `cfg.max_cutbacks` bisections of one target the run aborts and the
+    last converged state is returned.
     """
     cfg = cfg or NonlinearSolveConfig()
     state = (initial or system.empty_state()).copy()
-    if react_dofs is None:
-        react_dofs = constraints.group_dofs(load_groups[0])
+    load_dofs = constraints.group_dofs(load_groups[0])
     drive_dofs = constraints.group_dofs(drive_group)
     ground_dofs = constraints.group_dofs(ground_group)
 
@@ -407,7 +399,7 @@ def run_load_program(system, constraints, load_groups, load_values,
         d_prev = state.x[system.dofmap.off_d:].copy()
         R = system.residual(state.x, state.H)
         rec = _make_record(system, state, R, value, step_index,
-                           react_dofs, drive_dofs, ground_dofs, voltage,
+                           load_dofs, drive_dofs, ground_dofs, voltage,
                            cutbacks,
                            records[0].resistance if records else None)
         advance_history(system, state)
@@ -449,7 +441,7 @@ def run_load_program(system, constraints, load_groups, load_values,
     return RunResult(records, state)
 
 
-def _make_record(system, state, R, value, step, react_dofs,
+def _make_record(system, state, R, value, step, load_dofs,
                  drive_dofs, ground_dofs, voltage, cutbacks, r0):
     dm = system.dofmap
     phi_rows = R[dm.off_phi:dm.off_d]
@@ -457,7 +449,7 @@ def _make_record(system, state, R, value, step, react_dofs,
     i_ground = float(np.sum(phi_rows[np.asarray(ground_dofs) - dm.off_phi]))
     current = max(abs(i_drive), abs(i_ground))
     mismatch = abs(i_drive + i_ground) / max(current, 1e-300)
-    force = float(np.sum(R[np.asarray(react_dofs)]))
+    force = float(np.sum(R[np.asarray(load_dofs)]))
     resistance = abs(voltage) / current if current > 0.0 else math.inf
     if r0 is None or r0 == 0.0 or not math.isfinite(r0):
         rel = 0.0

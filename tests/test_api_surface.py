@@ -1,9 +1,14 @@
-"""Every public function, method and class of the package has a caller.
+"""Every public name and every defaulted parameter of the package is used.
 
 A public name that nothing in `src/piezofrac` refers to is reachable only
 from tests, so it is either a second copy of a formula the chain computes
 elsewhere or dead code.  The check is by name: a reference is any
 identifier or attribute with that name outside the definition itself.
+
+Likewise a defaulted parameter of a module-level function or a method
+that no call in `src/piezofrac` passes has one value in use, so it is a
+constant spelled as a setting.  Calls are matched to definitions by name, and a parameter counts as passed when a
+call gives it by keyword or by position, or spreads `*args`/`**kwargs`.
 """
 
 import ast
@@ -55,3 +60,82 @@ def test_allowlist_names_existing_orphans_only():
     defined = {name for _, name, _ in defs}
     assert ALLOWED <= defined
     assert not ALLOWED & refs
+
+
+# (function, parameter) pairs that only callers outside src set, each
+# with the reason
+ALLOWED_DEFAULTS = {
+    # the console entry point reads sys.argv; tests and the benchmark
+    # pass argv explicitly
+    ("main", "argv"),
+    # patch tests prescribe a non-uniform displacement field
+    ("fix", "pattern"),
+    # a safety bound on the rejection sampler, which a test lowers to
+    # reach the exhaustion error
+    ("random_defects", "max_tries"),
+}
+
+
+def _defaulted_parameters_and_calls():
+    params, calls = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for f in node.body:
+                    if isinstance(f, ast.FunctionDef):
+                        # a bound call does not pass self positionally;
+                        # __init__ is called through the class name
+                        name = node.name if f.name == "__init__" else f.name
+                        params += _defaulted(path.name, name, f.args, 1)
+            elif isinstance(node, ast.Module):
+                for f in node.body:
+                    if isinstance(f, ast.FunctionDef):
+                        params += _defaulted(path.name, f.name, f.args, 0)
+            elif isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else \
+                    fn.attr if isinstance(fn, ast.Attribute) else None
+                if name is not None:
+                    calls.setdefault(name, []).append(node)
+    return params, calls
+
+
+def _defaulted(module, name, args, skip):
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(module, name, a.arg, i - skip)
+           for i, a in enumerate(positional) if i >= first]
+    out += [(module, name, a.arg, None)
+            for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _passes(call, param, index):
+    if any(k.arg == param or k.arg is None for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_defaulted_parameter_is_passed_in_src():
+    params, calls = _defaulted_parameters_and_calls()
+    assert len(params) > 20   # the walk found the package
+    unused = [f"{module} {name}({param})"
+              for module, name, param, index in params
+              if (name, param) not in ALLOWED_DEFAULTS
+              and not any(_passes(c, param, index)
+                          for c in calls.get(name, ()))]
+    assert not unused, "defaulted parameters no call in src passes: " + \
+        ", ".join(unused)
+
+
+def test_default_allowlist_names_unpassed_parameters_only():
+    params, calls = _defaulted_parameters_and_calls()
+    found = {(name, param): index for _, name, param, index in params}
+    assert ALLOWED_DEFAULTS <= set(found)
+    for name, param in ALLOWED_DEFAULTS:
+        assert not any(_passes(c, param, found[name, param])
+                       for c in calls.get(name, ()))

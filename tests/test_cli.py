@@ -11,7 +11,7 @@ rho0 = 10
 lam11 = 1.0
 lam12 = 2.0
 [geometry]
-kind = strip
+kind = plate
 length_x = 0.02
 length_y = 0.01
 nx = 12
@@ -39,7 +39,7 @@ rho0 = 10
 lam11 = -5.0
 lam12 = 0.0
 [geometry]
-kind = strip
+kind = plate
 length_x = 0.01
 length_y = 0.005
 nx = 4
@@ -77,6 +77,14 @@ def test_unknown_key_reported_with_location(tmp_path, capsys):
     assert cli.main(["run", "--scenario", str(p)]) == cli.EXIT_SCHEMA
     err = capsys.readouterr().err
     assert "lenght_scale" in err and ":2" in err
+
+
+def test_flags_only_on_the_verbs_they_change(capsys):
+    # --threads is gone; --replicates acts on mc only, --seed not on props
+    for argv in (["run", "--threads", "1"], ["props", "--replicates", "2"],
+                 ["props", "--seed", "3"]):
+        assert cli.main(argv) == cli.EXIT_SCHEMA
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_schema_listing(capsys):

@@ -18,7 +18,7 @@ rho0 = 10
 lam11 = 1.0
 lam12 = 2.0
 [geometry]
-kind = strip
+kind = plate
 length_x = 0.02
 length_y = 0.01
 nx = 12
@@ -47,7 +47,7 @@ rho0 = 10
 lam11 = -5.0
 lam12 = 0.0
 [geometry]
-kind = strip
+kind = plate
 length_x = 0.01
 length_y = 0.005
 nx = 4
@@ -250,8 +250,7 @@ def test_monte_carlo_propagates_programming_errors(monkeypatch):
 def test_property_sweep_rows_and_flags(tmp_path):
     path = tmp_path / "props.csv"
     rows, flags = runner.property_sweep(
-        None, [0.0, 0.01, 0.02], [100.0, 310.0], path=path,
-        order=16, onset_order=32)
+        None, [0.0, 0.01, 0.02], [100.0, 310.0], path=path)
     assert len(rows) == 6
     base = rows[0]
     assert base["f_p"] == 0.0

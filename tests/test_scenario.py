@@ -38,10 +38,17 @@ def test_comments_and_blanks_ignored():
 @pytest.mark.parametrize("bad, key", [
     ("[geometry]\nlenght_scale = 0.1\n", "lenght_scale"),
     ("[solver]\nmax_iter = 50\n", "max_iter"),       # removed solver knob
-], ids=["typo", "removed_solver_key"])
+    ("[material]\nhomog_order = 16\n", "homog_order"),  # now a constant
+], ids=["typo", "removed_solver_key", "removed_material_key"])
 def test_unknown_key_named_with_line(bad, key):
     with pytest.raises(scenario.SchemaError, match=rf"f:2.*{key}"):
         scenario.parse_text(bad, "f")
+
+
+def test_removed_strip_kind_rejected():
+    # a strip was always meshed as a plate; kind = plate says so
+    with pytest.raises(scenario.SchemaError, match=r"'strip' not recognised"):
+        scenario.parse_text("[geometry]\nkind = strip\n", "f")
 
 
 def test_unknown_section_rejected():
@@ -166,7 +173,7 @@ def test_canned_unknown_name():
 
 
 def test_canned_cover_the_case_matrix():
-    assert scenario.canned("validation").geometry["kind"] == "strip"
+    assert scenario.canned("validation").geometry["kind"] == "plate"
     assert scenario.canned("plate").geometry["notch_mode"] == "element"
     fp4 = scenario.canned("plate_fp4")
     assert fp4.material["f_p"] == pytest.approx(0.04)
