@@ -105,7 +105,7 @@ def _cmd_run(args):
             print(f"k={k:g} n={n:g}: {s.status}  R0={s.R0:.6g} ohm  "
                   f"peak={s.peak_force:.6g} N")
         return EXIT_SOLVER if bad else EXIT_OK
-    s = runner.run_case(sc, out_dir=args.out, seed=args.seed)
+    s = runner.run_case(sc, out_dir=args.out)
     print(f"status: {s.status}" + (f" ({s.reason})" if s.reason else ""))
     print(f"R0 = {s.R0:.6g} ohm, I0 = {s.I0:.6g} A")
     print(f"peak force = {s.peak_force:.6g} N")
@@ -119,8 +119,7 @@ def _cmd_mc(args):
     sc = _load_scenario(args.scenario, args.seed)
     _log_defaults(sc)
     summaries, (edges, counts) = runner.monte_carlo(
-        sc, replicates=args.replicates, base_seed=args.seed,
-        out_dir=args.out)
+        sc, replicates=args.replicates, out_dir=args.out)
     n_ok = sum(1 for s in summaries if s.status == "ok")
     print(f"{n_ok}/{len(summaries)} replicates succeeded; "
           f"artifacts in {args.out}")
@@ -139,15 +138,13 @@ def _cmd_mesh(args):
     m, seed_ids, defects = runner.build_mesh(sc, rng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    prefix = sc.output["prefix"]
-    meshing.save_mesh(m, out / f"{prefix}_mesh.txt")
-    flag = np.zeros(m.n_nodes)
-    meshing.write_vtk(out / f"{prefix}_mesh.vtk", m,
-                      point_data={"flag": flag})
+    path = out / f"{sc.output['prefix']}_mesh.vtk"
+    seeded = np.zeros(len(m.elems))
+    seeded[seed_ids] = 1.0
+    meshing.write_vtk(path, m, cell_data={"seeded": seeded[m.active]})
     print(f"mesh: {m.n_nodes} nodes, {int(m.active.sum())} active elements, "
           f"{len(defects)} defects, {seed_ids.size} seeded elements")
-    print(f"wrote {out / (prefix + '_mesh.txt')} and "
-          f"{out / (prefix + '_mesh.vtk')}")
+    print(f"wrote {path}")
     return EXIT_OK
 
 

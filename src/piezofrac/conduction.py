@@ -88,7 +88,7 @@ def interphase_layer(spec, channel, f_p=None, f_c=None):
     channel "EH" (hopping between isolated fibers) uses the cutoff
     distance outright; channel "CN" (percolating network) shrinks it
     with the filler excess over the onset and therefore requires
-    f_p > f_c.
+    f_p > f_c.  The junction cross-section is the fiber's, pi D^2 / 4.
     """
     if channel == "EH":
         d_a = spec.d_c
@@ -101,7 +101,7 @@ def interphase_layer(spec, channel, f_p=None, f_c=None):
         d_a = spec.d_c * (f_c / f_p) ** (1.0 / 3.0)
     else:
         raise ValueError(f"unknown transport channel {channel!r}")
-    area = spec.contact_area
+    area = math.pi * spec.D_cnt ** 2 / 4.0
     R = tunneling_resistance(d_a, spec.lambda_eV, area)
     return TunnelLayer(d_a, 0.5 * d_a, d_a / (area * R), R)
 
@@ -279,8 +279,7 @@ def effective_conductivity(spec, strain=None):
     if xi > 0.0:
         cn = interphase_layer(spec, "CN", f_p=f_p, f_c=f_c)
         sL, sT, mult = equivalent_cylinder(
-            spec.sigma_cnt, spec.sigma_cnt, spec.channel_radius, L, cn.t,
-            cn.sigma_int)
+            spec.sigma_cnt, spec.sigma_cnt, r_fib, L, cn.t, cn.sigma_int)
         f_eff = mult * f_p
         if f_eff >= 1.0:
             raise ValueError(f"dressed filler fraction reaches {f_eff:.3f}")

@@ -202,26 +202,8 @@ def effective_engineering_constants(spec):
     return E, nu
 
 
-def orientation_density(p, q, theta_min=0.0, theta_max=0.5 * np.pi):
-    """Normalized fiber inclination density on [theta_min, theta_max].
-
-    Returns a callable g(theta).  Exponents below 1/2 are rejected; the
-    p = q = 1/2 case is the uniform density.
-    """
-    if p < 0.5 or q < 0.5:
-        raise ValueError(
-            f"orientation density not normalizable for p={p}, q={q} (need >= 1/2)")
-    if not 0.0 <= theta_min < theta_max <= 0.5 * np.pi + 1e-12:
-        raise ValueError(f"bad inclination range [{theta_min}, {theta_max}]")
-
-    def kernel(th):
-        return math.sin(th) ** (2.0 * p - 1.0) * math.cos(th) ** (2.0 * q - 1.0)
-
-    if p == 0.5 and q == 0.5:
-        norm = theta_max - theta_min
-    else:
-        norm, _ = integrate.quad(kernel, theta_min, theta_max)
-    return lambda th: kernel(th) / norm
+# strength loss per unit tan(inclination) of a fiber pulled out obliquely
+_A_SNUB = 0.083
 
 
 def fracture_energy(spec):
@@ -229,14 +211,15 @@ def fracture_energy(spec):
 
     G_c = G_0 + G_br, where G_br integrates the per-fiber bridging work
     over embedded length (analytically, split at the pull-out/rupture
-    transition) and over inclination (adaptively).
+    transition) and over the uniform inclination density on [0, pi/2]
+    (adaptively).
     """
     if spec.f_p0 == 0.0:
         return spec.G0
     D, L = spec.D_cnt, spec.L_cnt
     tau, sig_u, E_f = spec.tau_int, spec.sigma_ult, spec.E_cnt
-    A, mu = spec.A_snub, spec.mu_snub
-    g = orientation_density(spec.p_odf, spec.q_odf, spec.theta_min, spec.theta_max)
+    A, mu = _A_SNUB, spec.mu_snub
+    g = 1.0 / (0.5 * np.pi)
     A_cnt = np.pi * D ** 2 / 4.0
     W_rup = np.pi * D ** 2 * sig_u ** 2 * L / (8.0 * E_f)
 
@@ -255,21 +238,20 @@ def fracture_energy(spec):
     # interior break points: strength sign change and pull-out/rupture switch
     pts = []
     th_hi = math.atan(1.0 / A) if A > 0.0 else math.inf
-    if spec.theta_min < th_hi < spec.theta_max:
+    if 0.0 < th_hi < 0.5 * np.pi:
         pts.append(th_hi)
 
     def lc_gap(th):
         return crit_len(th) - L
 
-    lo = spec.theta_min
-    hi = min(spec.theta_max, th_hi * (1.0 - 1e-12))
+    lo = 0.0
+    hi = min(0.5 * np.pi, th_hi * (1.0 - 1e-12))
     if lo < hi and lc_gap(lo) * lc_gap(hi) < 0.0:
         pts.append(optimize.brentq(lc_gap, lo, hi))
 
     pref = 2.0 * spec.f_p0 / (A_cnt * L)
     tol = 1e-4 * spec.G0 / pref if spec.G0 > 0.0 else 1.49e-10
     val, _ = integrate.quad(
-        lambda th: inner(th) * g(th) * math.cos(th),
-        spec.theta_min, spec.theta_max,
+        lambda th: inner(th) * g * math.cos(th), 0.0, 0.5 * np.pi,
         points=sorted(pts) or None, epsabs=tol, epsrel=1e-9, limit=200)
     return spec.G0 + pref * val

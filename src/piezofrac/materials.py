@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -24,8 +23,7 @@ class CompositeSpec:
     """Immutable parameter record of one fiber/matrix/coating system.
 
     All fields SI except lambda_eV. The snubbing exponent mu_snub
-    defaults to zero (no frictional amplification of inclined pull-out)
-    and the inclination density defaults to uniform.
+    defaults to zero (no frictional amplification of inclined pull-out).
     """
 
     f_p0: float          # filler volume fraction
@@ -44,14 +42,7 @@ class CompositeSpec:
     G0: float            # matrix critical energy release rate, J/m^2
     sigma_ult: float     # fiber tensile strength, Pa
     tau_int: float       # interfacial shear strength, Pa
-    A_snub: float = 0.083
     mu_snub: float = 0.0
-    theta_min: float = 0.0
-    theta_max: float = 0.5 * math.pi
-    p_odf: float = 0.5
-    q_odf: float = 0.5
-    a_contact: float | None = None   # tunneling junction area override, m^2
-    r_c: float | None = None         # percolating-channel radius override, m
 
     def __post_init__(self):
         pos = {"L_cnt": self.L_cnt, "D_cnt": self.D_cnt, "E_cnt": self.E_cnt,
@@ -73,35 +64,13 @@ class CompositeSpec:
             raise ValueError("fiber length below its diameter")
         if self.G0 < 0.0:
             raise ValueError(f"G0 must be >= 0, got {self.G0}")
-        if self.A_snub < 0.0 or self.mu_snub < 0.0:
-            raise ValueError("snubbing coefficients must be >= 0")
-        if not 0.0 <= self.theta_min < self.theta_max <= 0.5 * math.pi + 1e-12:
-            raise ValueError(
-                f"bad inclination range [{self.theta_min}, {self.theta_max}]")
-        if self.p_odf < 0.5 or self.q_odf < 0.5:
-            raise ValueError("inclination density exponents must be >= 1/2")
-        for name, val in (("a_contact", self.a_contact), ("r_c", self.r_c)):
-            if val is not None and val <= 0.0:
-                raise ValueError(f"{name} must be positive, got {val}")
+        if self.mu_snub < 0.0:
+            raise ValueError(f"mu_snub must be >= 0, got {self.mu_snub}")
 
     @property
     def kappa(self):
         """Fiber aspect ratio."""
         return self.L_cnt / self.D_cnt
-
-    @property
-    def contact_area(self):
-        """Tunneling junction cross-section (fiber cross-section unless set)."""
-        if self.a_contact is not None:
-            return self.a_contact
-        return math.pi * self.D_cnt ** 2 / 4.0
-
-    @property
-    def channel_radius(self):
-        """Radius of the percolating-channel cylinder (fiber radius unless set)."""
-        if self.r_c is not None:
-            return self.r_c
-        return 0.5 * self.D_cnt
 
     def with_filler(self, f_p0):
         return replace(self, f_p0=f_p0)

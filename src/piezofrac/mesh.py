@@ -3,12 +3,11 @@
 Grids are axis-aligned; geometric features are realized by element
 deactivation (centroid tests), which keeps Monte Carlo studies free of
 external meshing.  Named node sets mark the box faces for boundary
-conditions.  A plain-text format and a VTK legacy writer round out the
-I/O.
+conditions.  Meshes and fields are written in the VTK legacy format.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,15 +22,15 @@ class Mesh:
     elems: (n_elems, 4 or 8) connectivity, counter-clockwise quads or
         standard bricks; inactive elements stay in the table.
     active: (n_elems,) bool mask (holes, slits, exterior cut-outs).
-    node_sets: named node index arrays (box faces by default).
+    node_sets: named node index arrays (the box faces).
     thickness: out-of-plane thickness, m (2D only; 1.0 in 3D).
     """
 
     nodes: np.ndarray
     elems: np.ndarray
     active: np.ndarray
-    node_sets: dict = field(default_factory=dict)
-    thickness: float = 1.0
+    node_sets: dict
+    thickness: float
 
     @property
     def dim(self):
@@ -192,8 +191,7 @@ def cut_slit(mesh, start, angle, length):
 
 
 def random_defects(rng, region_min, region_max, target_area,
-                   mean_radius=2.0e-3, std_radius=1.2e-3,
-                   min_radius=0.25e-3, max_tries=100000):
+                   mean_radius, std_radius, min_radius, max_tries=100000):
     """Sample circular defects until their cumulative area meets a target.
 
     Centers are uniform over the region; radii are normal with the
@@ -241,52 +239,6 @@ def apply_defects(mesh, holes):
 
 
 # ----------------------------------------------------------------- I/O
-
-
-def save_mesh(mesh, path):
-    """Plain-text mesh: node table, element table with activity, sets."""
-    with open(path, "w") as f:
-        f.write(f"mesh dim {mesh.dim} thickness {float(mesh.thickness)!r}\n")
-        f.write(f"nodes {mesh.n_nodes}\n")
-        for row in mesh.nodes:
-            f.write(" ".join(repr(float(v)) for v in row) + "\n")
-        f.write(f"elements {len(mesh.elems)} {mesh.elems.shape[1]}\n")
-        for conn, act in zip(mesh.elems, mesh.active):
-            f.write(" ".join(str(v) for v in conn) + f" {int(act)}\n")
-        f.write(f"sets {len(mesh.node_sets)}\n")
-        for name in sorted(mesh.node_sets):
-            ids = mesh.node_sets[name]
-            f.write(f"{name} {len(ids)}\n")
-            f.write(" ".join(str(v) for v in ids) + "\n")
-
-
-def load_mesh(path):
-    with open(path) as f:
-        tok = f.readline().split()
-        if len(tok) != 5 or tok[0] != "mesh":
-            raise ValueError(f"{path}: not a mesh file (bad header)")
-        dim, thickness = int(tok[2]), float(tok[4])
-        tok = f.readline().split()
-        n_nodes = int(tok[1])
-        nodes = np.array([[float(v) for v in f.readline().split()]
-                          for _ in range(n_nodes)])
-        tok = f.readline().split()
-        n_el, nper = int(tok[1]), int(tok[2])
-        table = np.array([[int(v) for v in f.readline().split()]
-                          for _ in range(n_el)], dtype=np.int64)
-        elems, active = table[:, :nper], table[:, nper].astype(bool)
-        tok = f.readline().split()
-        sets = {}
-        for _ in range(int(tok[1])):
-            name, count = f.readline().split()
-            line = f.readline().split()
-            if len(line) != int(count):
-                raise ValueError(f"{path}: set '{name}' length mismatch")
-            sets[name] = np.array([int(v) for v in line], dtype=np.int64)
-    if nodes.shape != (n_nodes, dim):
-        raise ValueError(f"{path}: node table shape mismatch")
-    return Mesh(nodes=nodes, elems=elems, active=active,
-                node_sets=sets, thickness=thickness)
 
 
 _VTK_CELL = {4: 9, 8: 12}  # quad, hexahedron

@@ -187,10 +187,6 @@ def initial_state(case, sc):
     return state
 
 
-def solver_config(sc):
-    return solver.NonlinearSolveConfig(max_cutbacks=sc.solver["max_cutbacks"])
-
-
 # ------------------------------------------------------------ artifacts
 
 
@@ -227,12 +223,15 @@ def _fracture_displacement(records):
 
 
 def run_case(sc, out_dir=None, seed=None, tag=""):
-    """Execute one scenario realization and write its artifacts."""
+    """Execute one scenario realization and write its artifacts.
+
+    Random geometry is drawn from `seed`, or from sc.mc["seed"] when
+    none is given.
+    """
     t0 = time.perf_counter()
     rng = np.random.default_rng(sc.mc["seed"] if seed is None else seed)
     case = build_case(sc, rng)
     state0 = initial_state(case, sc)
-    cfg = solver_config(sc)
 
     out = None
     observer = None
@@ -251,7 +250,8 @@ def run_case(sc, out_dir=None, seed=None, tag=""):
 
     result = solver.run_load_program(
         case.system, case.constraints, ["pull"], list(case.load_values),
-        "drive", "ground", case.voltage, cfg=cfg, observer=observer,
+        "drive", "ground", case.voltage,
+        max_cutbacks=sc.solver["max_cutbacks"], observer=observer,
         initial=state0)
 
     recs = result.records
@@ -367,9 +367,10 @@ def _sweep_flags(rows, f_p_grid, ar_grid):
 # --------------------------------------------------------- Monte Carlo
 
 
-def monte_carlo(sc, replicates=None, base_seed=None, out_dir=None):
+def monte_carlo(sc, replicates=None, out_dir=None):
     """Independent seeded replicates of a random-defect scenario.
 
+    Replicate k draws its geometry from the seed [sc.mc["seed"], k].
     Expected per-replicate failures (ValueError, RuntimeError and their
     subclasses, StepFailure included) are recorded with their reason and
     the ensemble continues; any other exception propagates.
@@ -377,7 +378,6 @@ def monte_carlo(sc, replicates=None, base_seed=None, out_dir=None):
     over the ultimate fracture displacements of successful replicates.
     """
     n_rep = sc.mc["replicates"] if replicates is None else int(replicates)
-    seed0 = sc.mc["seed"] if base_seed is None else int(base_seed)
     if n_rep < 1:
         raise ValueError("replicates must be >= 1")
 
@@ -385,7 +385,7 @@ def monte_carlo(sc, replicates=None, base_seed=None, out_dir=None):
     for rep in range(n_rep):
         rep_dir = None if out_dir is None else Path(out_dir) / f"rep_{rep:03d}"
         try:
-            s = run_case(sc, out_dir=rep_dir, seed=[seed0, rep])
+            s = run_case(sc, out_dir=rep_dir, seed=[sc.mc["seed"], rep])
         except (ValueError, RuntimeError) as err:
             s = RunSummary(status="failed", reason=str(err),
                            peak_force=math.nan,

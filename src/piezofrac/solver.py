@@ -22,20 +22,19 @@ from scipy.sparse.linalg import splu
 from . import elements, tensors
 
 
-def h1(d, eps_reg=1e-7):
+def h1(d, eps_reg):
     """Stiffness degradation (1-d)^2 + eps_reg."""
     d = np.asarray(d)
     return (1.0 - d) ** 2 + eps_reg
 
 
-def h2(d, k=50.0, n=6.0, eps_reg=1e-7):
+def h2(d, k, n, eps_reg):
     """Conductivity degradation: exponential saturation in (1-d)^n.
 
     Flat near d = 0 (early damage barely cuts conduction) and dropping
-    to eps_reg at full damage.
+    to eps_reg at full damage.  k > 0 and n >= 1, as `MaterialPoint`
+    checks.
     """
-    if k <= 0.0 or n < 1.0:
-        raise ValueError(f"degradation parameters out of range: k={k}, n={n}")
     d = np.asarray(d)
     den = -np.expm1(-k)
     return -np.expm1(-k * (1.0 - d) ** n) / den + eps_reg
@@ -56,9 +55,9 @@ class MaterialPoint:
     rho0: float
     lam11: float
     lam12: float
-    k: float = 50.0
-    n: float = 6.0
-    eps_reg: float = 1e-7
+    k: float
+    n: float
+    eps_reg: float
 
     def __post_init__(self):
         if self.E <= 0.0 or not -1.0 < self.nu < 0.5:
@@ -80,12 +79,6 @@ class MaterialPoint:
         return f * np.array([[1.0, self.nu, 0.0],
                              [self.nu, 1.0, 0.0],
                              [0.0, 0.0, 0.5 * (1.0 - self.nu)]])
-
-
-@dataclass
-class NonlinearSolveConfig:
-    max_cutbacks: int = 10        # bisection levels of the load increment
-    d_drop_tol: float = 5e-2      # tolerated per-step damage decrease
 
 
 @dataclass
@@ -271,7 +264,7 @@ def _split_free(dofmap, free):
     return fu, fp, fd
 
 
-def solve_step(system, state, constraints, cfg=None, d_floor=None):
+def solve_step(system, state, constraints, d_floor=None):
     """Exact solve of one load step at the current Dirichlet values.
 
     At frozen history H the step problem is block lower triangular and
@@ -291,9 +284,8 @@ def solve_step(system, state, constraints, cfg=None, d_floor=None):
     (previous converged damage) activates the irreversibility clamp.
     Raises StepFailure when the strained resistivity loses
     definiteness, a residual turns non-finite, or damage drops by more
-    than `cfg.d_drop_tol`.
+    than `_D_DROP_TOL`.
     """
-    cfg = cfg or NonlinearSolveConfig()
     dm = system.dofmap
     fixed, vals, free = constraints.build()
     fu, fp, fd = _split_free(dm, free)
@@ -310,17 +302,21 @@ def solve_step(system, state, constraints, cfg=None, d_floor=None):
             x[f] -= splu(K[f - off][:, f - off]).solve(R[f])
             solves += 1
         if off == dm.off_d:
-            _apply_damage_bounds(x[dm.off_d:], d_floor, cfg)
+            _apply_damage_bounds(x[dm.off_d:], d_floor)
     return FieldState(x, H.copy()), solves
 
 
-def _apply_damage_bounds(d, d_floor, cfg):
+# largest per-step damage decrease projected away rather than failed
+_D_DROP_TOL = 5e-2
+
+
+def _apply_damage_bounds(d, d_floor):
     """Project d onto its admissible band in place.
 
     d <= 1 is a bound constraint: the linear damage solve overshoots
     near saturated sharp-gradient bands (consistent-mass Gibbs effect)
     and the projection realizes the active set, so overshoot is never
-    a failure.  A decrease below the previous step beyond d_drop_tol,
+    a failure.  A decrease below the previous step beyond _D_DROP_TOL,
     however, signals a diverged solve and aborts; smaller dips are the
     same discrete oscillation and are projected onto the floor.
     """
@@ -329,7 +325,7 @@ def _apply_damage_bounds(d, d_floor, cfg):
     np.clip(d, 0.0, 1.0, out=d)
     if d_floor is not None:
         drop = np.max(d_floor - d)
-        if drop > cfg.d_drop_tol:
+        if drop > _D_DROP_TOL:
             raise StepFailure(f"damage decreased by {drop:.3e} in one step")
         np.maximum(d, d_floor, out=d)
 
@@ -368,8 +364,8 @@ class RunResult:
 
 
 def run_load_program(system, constraints, load_groups, load_values,
-                     drive_group, ground_group, voltage,
-                     cfg=None, observer=None, initial=None):
+                     drive_group, ground_group, voltage, *,
+                     max_cutbacks, observer=None, initial=None):
     """Displacement-controlled stepping with curve extraction.
 
     load_groups: constraint-group names scaled by each value of
@@ -378,10 +374,9 @@ def run_load_program(system, constraints, load_groups, load_values,
     reaction force is summed over the first load group's DOFs.  An
     observer(step, record, state) callback can dump fields.  A failed
     step is retried at the midpoint of the increment; after
-    `cfg.max_cutbacks` bisections of one target the run aborts and the
-    last converged state is returned.
+    `max_cutbacks` bisections of one target the run aborts and the last
+    converged state is returned.
     """
-    cfg = cfg or NonlinearSolveConfig()
     state = (initial or system.empty_state()).copy()
     load_dofs = constraints.group_dofs(load_groups[0])
     drive_dofs = constraints.group_dofs(drive_group)
@@ -394,8 +389,7 @@ def run_load_program(system, constraints, load_groups, load_values,
         nonlocal state, d_prev
         for g in load_groups:
             constraints.set_value(g, value)
-        state, _ = solve_step(system, state, constraints, cfg,
-                              d_floor=d_prev)
+        state, _ = solve_step(system, state, constraints, d_floor=d_prev)
         d_prev = state.x[system.dofmap.off_d:].copy()
         R = system.residual(state.x, state.H)
         rec = _make_record(system, state, R, value, step_index,
@@ -428,7 +422,7 @@ def run_load_program(system, constraints, load_groups, load_values,
             except StepFailure as err:
                 state, d_prev = saved, saved_d
                 depth += 1
-                if depth > cfg.max_cutbacks:
+                if depth > max_cutbacks:
                     return RunResult(records, state, aborted=True,
                                      abort_reason=str(err))
                 stack.append(0.5 * (prev + value))

@@ -74,8 +74,9 @@ def cylinder_run():
 
     result = solver.run_load_program(
         case.system, case.constraints, ["pull"], list(case.load_values),
-        "drive", "ground", case.voltage, cfg=runner.solver_config(sc),
-        observer=observer, initial=runner.initial_state(case, sc))
+        "drive", "ground", case.voltage,
+        max_cutbacks=sc.solver["max_cutbacks"], observer=observer,
+        initial=runner.initial_state(case, sc))
     return case, result, hot
 
 
@@ -120,7 +121,8 @@ def test_03_homogeneous_damage_closed_form():
     t0 = time.perf_counter()
     m = meshing.structured_mesh((1.0, 1.0), (1, 1))
     mat = solver.MaterialPoint(E=3.6e9, nu=0.27, Gc=180.0, ell=5e-3,
-                               rho0=9.66, lam11=1.0776, lam12=2.2776)
+                               rho0=9.66, lam11=1.0776, lam12=2.2776,
+                               k=50.0, n=6.0, eps_reg=1e-7)
     sys_ = solver.CoupledSystem(m, mat)
     dm = sys_.dofmap
     delta = math.sqrt(mat.Gc / (mat.ell * mat.stiffness(2)[0, 0]))
@@ -145,7 +147,8 @@ def test_04_jacobians_match_finite_differences():
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
     mat = solver.MaterialPoint(E=3.6e9, nu=0.27, Gc=180.0, ell=5e-3,
-                               rho0=9.66, lam11=1.0776, lam12=2.2776)
+                               rho0=9.66, lam11=1.0776, lam12=2.2776,
+                               k=50.0, n=6.0, eps_reg=1e-7)
     worst, states = 0.0, 0
     for rep in range(12):
         if rep % 3 == 2:
@@ -295,15 +298,16 @@ def test_10_charge_conservation_everywhere(validation_run, fp4_run,
 
 
 def test_11_degradation_function_values():
-    vals_ok = (solver.h1(0.0) == 1.0 + 1e-7 and solver.h1(1.0) == 1e-7
-               and abs(solver.h2(0.5, 50.0, 6.0) - 0.5422) <= 1e-4)
+    vals_ok = (solver.h1(0.0, 1e-7) == 1.0 + 1e-7
+               and solver.h1(1.0, 1e-7) == 1e-7
+               and abs(solver.h2(0.5, 50.0, 6.0, 1e-7) - 0.5422) <= 1e-4)
     d = np.linspace(0.0, 1.0, 1001)
-    mono = all(bool(np.all(np.diff(solver.h2(d, k, n)) <= 0.0))
+    mono = all(bool(np.all(np.diff(solver.h2(d, k, n, 1e-7)) <= 0.0))
                for k in (10.0, 50.0, 90.0) for n in (4.0, 6.0, 8.0))
     ok = vals_ok and mono
-    line = _report("11", ok, f"h1(0)={solver.h1(0.0):.7f}, "
-                   f"h1(1)={solver.h1(1.0):.1e}, "
-                   f"h2(0.5,50,6)={solver.h2(0.5, 50.0, 6.0):.5f} "
+    line = _report("11", ok, f"h1(0)={solver.h1(0.0, 1e-7):.7f}, "
+                   f"h1(1)={solver.h1(1.0, 1e-7):.1e}, "
+                   f"h2(0.5,50,6)={solver.h2(0.5, 50.0, 6.0, 1e-7):.5f} "
                    f"(0.5422 ±1e-4); non-increasing on all 9 (k,n) "
                    f"grids: {mono}")
     assert ok, line

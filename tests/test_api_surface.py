@@ -1,4 +1,4 @@
-"""Every public name and every defaulted parameter of the package is used.
+"""Every public name, defaulted parameter and defaulted field is used.
 
 A public name that nothing in `src/piezofrac` refers to is reachable only
 from tests, so it is either a second copy of a formula the chain computes
@@ -7,8 +7,15 @@ identifier or attribute with that name outside the definition itself.
 
 Likewise a defaulted parameter of a module-level function or a method
 that no call in `src/piezofrac` passes has one value in use, so it is a
-constant spelled as a setting.  Calls are matched to definitions by name, and a parameter counts as passed when a
-call gives it by keyword or by position, or spreads `*args`/`**kwargs`.
+constant spelled as a setting.  Calls are matched to definitions by
+name, and a parameter counts as passed when a call gives it by keyword
+or by position, or spreads `*args`/`**kwargs`.
+
+The same holds for a dataclass field with a default: some code in
+`src/piezofrac` must set it, by keyword in a call (a constructor,
+`replace` or `Scenario.replace`) or as the constant key of a subscript
+assignment, as the material resolver fills the keyword dict it hands
+to `preset`.
 """
 
 import ast
@@ -17,10 +24,6 @@ from pathlib import Path
 import piezofrac
 
 SRC = Path(piezofrac.__file__).parent
-
-# load_mesh is the only reader of the `<prefix>_mesh.txt` file that the
-# `mesh` verb writes, and thereby the only check of save_mesh's format
-ALLOWED = {"load_mesh"}
 
 
 def _definitions_and_references():
@@ -50,16 +53,9 @@ def test_every_public_name_has_a_caller_in_src():
     defs, refs = _definitions_and_references()
     assert len(defs) > 50   # the walk found the package
     orphans = [f"{module}:{line} {name}" for module, name, line in defs
-               if name not in refs and name not in ALLOWED]
+               if name not in refs]
     assert not orphans, "public names no code in src refers to: " + \
         ", ".join(orphans)
-
-
-def test_allowlist_names_existing_orphans_only():
-    defs, refs = _definitions_and_references()
-    defined = {name for _, name, _ in defs}
-    assert ALLOWED <= defined
-    assert not ALLOWED & refs
 
 
 # (function, parameter) pairs that only callers outside src set, each
@@ -139,3 +135,43 @@ def test_default_allowlist_names_unpassed_parameters_only():
     for name, param in ALLOWED_DEFAULTS:
         assert not any(_passes(c, param, found[name, param])
                        for c in calls.get(name, ()))
+
+
+def _is_dataclass(cls):
+    for dec in cls.decorator_list:
+        fn = dec.func if isinstance(dec, ast.Call) else dec
+        name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _defaulted_fields_and_settings():
+    classes, fields, settings = 0, [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                classes += 1
+                fields += [(path.name, node.name, f.target.id)
+                           for f in node.body
+                           if isinstance(f, ast.AnnAssign)
+                           and isinstance(f.target, ast.Name)
+                           and f.value is not None]
+            elif isinstance(node, ast.Call):
+                settings.update(k.arg for k in node.keywords if k.arg)
+            elif isinstance(node, ast.Assign):
+                settings.update(
+                    t.slice.value for t in node.targets
+                    if isinstance(t, ast.Subscript)
+                    and isinstance(t.slice, ast.Constant)
+                    and isinstance(t.slice.value, str))
+    return classes, fields, settings
+
+
+def test_every_defaulted_field_is_set_in_src():
+    classes, fields, settings = _defaulted_fields_and_settings()
+    assert classes > 5   # the walk found the package's dataclasses
+    unset = [f"{module} {cls}.{name}" for module, cls, name in fields
+             if name not in settings]
+    assert not unset, "defaulted dataclass fields nothing in src sets: " + \
+        ", ".join(unset)

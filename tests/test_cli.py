@@ -1,5 +1,7 @@
 """Command-line entry points and exit codes."""
 
+import re
+
 from piezofrac import cli
 
 CRACKING = """
@@ -132,7 +134,23 @@ def test_mesh_verb(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "nodes" in out
     assert (tmp_path / "validation_mesh.vtk").exists()
-    assert (tmp_path / "validation_mesh.txt").exists()
+    assert not (tmp_path / "validation_mesh.txt").exists()
+
+
+def test_mesh_verb_marks_seeded_elements(tmp_path, capsys):
+    code = cli.main(["mesh", "--scenario", "canned:cylinder",
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    n_seeded = int(re.search(r"(\d+) seeded elements",
+                             capsys.readouterr().out).group(1))
+    assert n_seeded > 0
+    lines = (tmp_path / "cylinder_mesh.vtk").read_text().splitlines()
+    i = lines.index("SCALARS seeded double 1")
+    assert lines[i - 1].startswith("CELL_DATA ")
+    n_cells = int(lines[i - 1].split()[1])
+    values = [float(v) for v in lines[i + 2:i + 2 + n_cells]]
+    assert values.count(1.0) == n_seeded
+    assert values.count(0.0) == n_cells - n_seeded
 
 
 def test_props_verb(tmp_path, capsys):
@@ -173,8 +191,8 @@ def test_seed_flag_changes_defect_draw(tmp_path):
         code = cli.main(["mesh", "--scenario", str(p), "--seed", str(seed),
                          "--out", str(tmp_path / name)])
         assert code == cli.EXIT_OK
-    a = (tmp_path / "a" / "case_mesh.txt").read_bytes()
-    b = (tmp_path / "b" / "case_mesh.txt").read_bytes()
-    c = (tmp_path / "c" / "case_mesh.txt").read_bytes()
+    a = (tmp_path / "a" / "case_mesh.vtk").read_bytes()
+    b = (tmp_path / "b" / "case_mesh.vtk").read_bytes()
+    c = (tmp_path / "c" / "case_mesh.vtk").read_bytes()
     assert a == b
     assert a != c

@@ -238,7 +238,8 @@ def test_resistivity_update_consistent_with_conductivity_derivative(panel):
     resistivity, shear included."""
     rho0, l11, l12 = conduction.piezoresistivity_coeffs(panel)
     mat = solver.MaterialPoint(E=3e9, nu=0.3, Gc=100.0, ell=1e-3,
-                               rho0=rho0, lam11=l11, lam12=l12)
+                               rho0=rho0, lam11=l11, lam12=l12,
+                               k=50.0, n=6.0, eps_reg=1e-7)
     sys_ = solver.CoupledSystem(
         meshing.structured_mesh((1.0, 1.0, 1.0), (1, 1, 1)), mat)
     # Voigt order 11, 22, 33, 23, 13, 12 with engineering shears

@@ -237,17 +237,19 @@ def test_fracture_energy_zero_filler_is_matrix_value(panel):
     assert elastic.fracture_energy(panel.with_filler(0.0)) == panel.G0
 
 
-def test_fracture_energy_pure_pullout_closed_form(panel):
+def test_fracture_energy_pure_pullout_closed_form(panel, monkeypatch):
     """With lc > L everywhere the energy is G0 + f tau L^2 / (3 pi D)."""
+    monkeypatch.setattr(elastic, "_A_SNUB", 0.0)
     tau = 0.4 * panel.sigma_ult * panel.D_cnt / (2.0 * panel.L_cnt)
-    spec = replace(panel, tau_int=tau, A_snub=0.0)
+    spec = replace(panel, tau_int=tau)
     want = spec.G0 + spec.f_p0 * tau * spec.L_cnt ** 2 / (3.0 * np.pi * spec.D_cnt)
     assert np.isclose(elastic.fracture_energy(spec), want, rtol=1e-8)
 
 
-def test_fracture_energy_pure_rupture_closed_form(panel):
+def test_fracture_energy_pure_rupture_closed_form(panel, monkeypatch):
     """With lc ~ 0 the energy is G0 + f sigma_ult^2 L / (pi E)."""
-    spec = replace(panel, tau_int=1e18, A_snub=0.0)
+    monkeypatch.setattr(elastic, "_A_SNUB", 0.0)
+    spec = replace(panel, tau_int=1e18)
     want = (spec.G0 + spec.f_p0 * spec.sigma_ult ** 2 * spec.L_cnt
             / (np.pi * spec.E_cnt))
     assert np.isclose(elastic.fracture_energy(spec), want, rtol=1e-8)
@@ -266,7 +268,7 @@ def test_fracture_energy_against_fixed_grid_integration(panel):
     spec = panel
     D, L = spec.D_cnt, spec.L_cnt
     tau, sig_u, E_f = spec.tau_int, spec.sigma_ult, spec.E_cnt
-    A, mu = spec.A_snub, spec.mu_snub
+    A, mu = elastic._A_SNUB, spec.mu_snub
     W_rup = np.pi * D ** 2 * sig_u ** 2 * L / (8.0 * E_f)
 
     n_th, n_l = 12000, 4000
@@ -286,7 +288,8 @@ def test_fracture_energy_against_fixed_grid_integration(panel):
     assert np.isclose(elastic.fracture_energy(spec), G_grid, rtol=1e-6)
 
 
-def test_snubbing_friction_raises_single_fiber_pullout_work(panel):
+def test_snubbing_friction_raises_single_fiber_pullout_work(panel,
+                                                            monkeypatch):
     """Friction amplifies the pull-out work that every fiber contributes.
 
     With lc > L at every inclination no fiber ruptures, so G_c - G0 is
@@ -294,8 +297,9 @@ def test_snubbing_friction_raises_single_fiber_pullout_work(panel):
     under the uniform density that multiplies it by
     int exp(mu th) cos th dth / int cos th dth = (exp(mu pi/2) - mu) / (1 + mu^2).
     """
+    monkeypatch.setattr(elastic, "_A_SNUB", 0.0)
     tau = 0.4 * panel.sigma_ult * panel.D_cnt / (2.0 * panel.L_cnt)
-    spec = replace(panel, tau_int=tau, A_snub=0.0, mu_snub=0.0)
+    spec = replace(panel, tau_int=tau, mu_snub=0.0)
     G_plain = elastic.fracture_energy(spec)
     G_snub = elastic.fracture_energy(replace(spec, mu_snub=0.5))
     gain = (np.exp(0.25 * np.pi) - 0.5) / 1.25
@@ -308,26 +312,3 @@ def test_fracture_energy_with_snubbing_is_finite(panel):
     G = elastic.fracture_energy(replace(panel, mu_snub=0.5))
     assert np.isfinite(G) and G > panel.G0
 
-
-# ----------------------------------------------------- inclination density
-
-
-def test_orientation_density_uniform_case():
-    g = elastic.orientation_density(0.5, 0.5)
-    assert np.isclose(g(0.3), 2.0 / np.pi, rtol=1e-14)
-    assert np.isclose(g(1.2), 2.0 / np.pi, rtol=1e-14)
-
-
-def test_orientation_density_normalization():
-    from scipy import integrate
-    for p, q in [(1.0, 1.0), (2.0, 0.5), (0.5, 3.0), (4.0, 2.0)]:
-        g = elastic.orientation_density(p, q)
-        val, _ = integrate.quad(g, 0.0, 0.5 * np.pi)
-        assert np.isclose(val, 1.0, rtol=1e-9)
-
-
-def test_orientation_density_rejects_unnormalizable_exponents():
-    with pytest.raises(ValueError):
-        elastic.orientation_density(0.3, 1.0)
-    with pytest.raises(ValueError):
-        elastic.orientation_density(1.0, 0.49)

@@ -44,20 +44,11 @@ def test_spec_validation(panel):
     with pytest.raises(ValueError):
         replace(panel, t_i=-1e-9)
     with pytest.raises(ValueError):
-        replace(panel, p_odf=0.3)
-    with pytest.raises(ValueError):
-        replace(panel, theta_min=1.0, theta_max=0.5)
-    with pytest.raises(ValueError):
-        replace(panel, a_contact=0.0)
+        replace(panel, mu_snub=-0.1)
 
 
 def test_spec_geometry_properties(panel):
     assert np.isclose(panel.kappa, panel.L_cnt / panel.D_cnt, rtol=1e-15)
-    assert np.isclose(panel.contact_area, math.pi * panel.D_cnt ** 2 / 4.0)
-    assert panel.channel_radius == 0.5 * panel.D_cnt
-    custom = replace(panel, a_contact=1e-17, r_c=2e-9)
-    assert custom.contact_area == 1e-17
-    assert custom.channel_radius == 2e-9
 
 
 def test_with_filler_and_from_mass_fraction(panel):

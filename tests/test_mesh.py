@@ -115,12 +115,17 @@ def test_punch_outside_cylinder_area():
     assert abs(kept - math.pi / 4.0) < 0.05
 
 
+# the scenario schema's defect_{mean,std,min}_radius defaults
+RADII = dict(mean_radius=2.0e-3, std_radius=1.2e-3, min_radius=0.25e-3)
+
+
 def test_defect_sampler_targets_area():
     # one percent of a 10 x 20 cm plate is 2 cm^2 of holes; the stopping
     # rule overshoots by at most the final hole
     rng = np.random.default_rng(42)
     target = 0.01 * 0.10 * 0.20
-    holes = meshing.random_defects(rng, (0.0, 0.0), (0.10, 0.20), target)
+    holes = meshing.random_defects(rng, (0.0, 0.0), (0.10, 0.20), target,
+                                   **RADII)
     areas = [math.pi * r * r for _, r in holes]
     assert sum(areas) >= target
     assert sum(areas) - target <= max(areas)
@@ -131,9 +136,9 @@ def test_defect_sampler_targets_area():
 
 def test_defect_sampler_deterministic():
     a = meshing.random_defects(np.random.default_rng(7), (0.0, 0.0),
-                               (0.1, 0.2), 2e-4)
+                               (0.1, 0.2), 2e-4, **RADII)
     b = meshing.random_defects(np.random.default_rng(7), (0.0, 0.0),
-                               (0.1, 0.2), 2e-4)
+                               (0.1, 0.2), 2e-4, **RADII)
     assert len(a) == len(b)
     for (ca, ra), (cb, rb) in zip(a, b):
         assert ra == rb and np.array_equal(ca, cb)
@@ -144,7 +149,7 @@ def test_defect_sampler_gives_up():
     with pytest.raises(RuntimeError, match="target area"):
         meshing.random_defects(rng, (0.0, 0.0), (1.0, 1.0), 1.0,
                                mean_radius=1e-3, std_radius=1e-4,
-                               max_tries=50)
+                               min_radius=0.25e-3, max_tries=50)
 
 
 def test_apply_defects_skips_subcell():
@@ -154,28 +159,6 @@ def test_apply_defects_skips_subcell():
     n = meshing.apply_defects(m, holes)
     assert n == 1
     assert m.active.sum() < len(m.elems)
-
-
-def test_mesh_text_round_trip(tmp_path):
-    m = meshing.structured_mesh((0.10, 0.20), (8, 16), thickness=0.005)
-    meshing.punch_hole(m, (0.05, 0.10), 0.03)
-    path = tmp_path / "m.txt"
-    meshing.save_mesh(m, path)
-    back = meshing.load_mesh(path)
-    assert back.dim == 2 and back.thickness == 0.005
-    assert np.array_equal(back.nodes, m.nodes)        # repr round trip
-    assert np.array_equal(back.elems, m.elems)
-    assert np.array_equal(back.active, m.active)
-    assert sorted(back.node_sets) == sorted(m.node_sets)
-    for name in m.node_sets:
-        assert np.array_equal(back.node_sets[name], m.node_sets[name])
-
-
-def test_load_rejects_non_mesh(tmp_path):
-    p = tmp_path / "junk.txt"
-    p.write_text("not a mesh\n")
-    with pytest.raises(ValueError, match="header"):
-        meshing.load_mesh(p)
 
 
 def test_vtk_writer_structure(tmp_path):

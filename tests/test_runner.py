@@ -197,7 +197,7 @@ def test_build_mesh_defects_reproducible():
 def test_monte_carlo_single_replicate(tmp_path):
     sc = scenario.parse_text(CRACKING, "cracking")
     summaries, (edges, counts) = runner.monte_carlo(
-        sc, replicates=1, base_seed=3, out_dir=tmp_path)
+        sc.replace("mc", seed=3), replicates=1, out_dir=tmp_path)
     assert len(summaries) == 1
     assert summaries[0].status == "ok"
     assert counts.sum() == 1             # degenerate one-sample histogram
@@ -213,9 +213,9 @@ def test_monte_carlo_deterministic_and_seed_sensitive():
     sc = sc.replace("geometry", notch_mode="none", defect_area_fraction=0.04,
                     defect_mean_radius=2e-3, defect_std_radius=5e-4,
                     defect_min_radius=1e-3)
-    sc = sc.replace("loading", u_max=4e-5, steps=10)
-    a, _ = runner.monte_carlo(sc, replicates=2, base_seed=5)
-    b, _ = runner.monte_carlo(sc, replicates=2, base_seed=5)
+    sc = sc.replace("loading", u_max=4e-5, steps=10).replace("mc", seed=5)
+    a, _ = runner.monte_carlo(sc, replicates=2)
+    b, _ = runner.monte_carlo(sc, replicates=2)
     fa = [s.peak_force for s in a]
     fb = [s.peak_force for s in b]
     assert fa == fb
@@ -226,7 +226,7 @@ def test_monte_carlo_deterministic_and_seed_sensitive():
 def test_monte_carlo_survives_failed_replicate(tmp_path):
     sc = scenario.parse_text(DOOMED, "doomed")
     summaries, (edges, counts) = runner.monte_carlo(
-        sc, replicates=2, base_seed=1, out_dir=tmp_path)
+        sc.replace("mc", seed=1), replicates=2, out_dir=tmp_path)
     assert len(summaries) == 2
     assert all(s.status == "aborted" for s in summaries)
     assert counts.sum() == 0             # nobody fractured
@@ -244,7 +244,7 @@ def test_monte_carlo_propagates_programming_errors(monkeypatch):
 
     monkeypatch.setattr(runner, "run_case", broken)
     with pytest.raises(TypeError, match="bug"):
-        runner.monte_carlo(sc, replicates=2, base_seed=1)
+        runner.monte_carlo(sc.replace("mc", seed=1), replicates=2)
 
 
 def test_property_sweep_rows_and_flags(tmp_path):
@@ -304,8 +304,9 @@ def test_holed_plate_cracks_in_stages():
 
     res = solver.run_load_program(
         case.system, case.constraints, ["pull"], list(case.load_values),
-        "drive", "ground", case.voltage, cfg=runner.solver_config(sc),
-        observer=obs, initial=runner.initial_state(case, sc))
+        "drive", "ground", case.voltage,
+        max_cutbacks=sc.solver["max_cutbacks"], observer=obs,
+        initial=runner.initial_state(case, sc))
     assert not res.aborted
     assert touch and sever
     assert touch[0] < sever[0]

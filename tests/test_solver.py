@@ -8,7 +8,8 @@ import pytest
 from piezofrac import elements, mesh as meshing, solver, tensors
 
 MAT = dict(E=3.6e9, nu=0.27, Gc=180.0, ell=5e-3,
-           rho0=9.66, lam11=1.0776, lam12=2.2776)
+           rho0=9.66, lam11=1.0776, lam12=2.2776,
+           k=50.0, n=6.0, eps_reg=1e-7)
 
 
 def _mat(**kw):
@@ -32,14 +33,15 @@ def _resistivity(mat, voigt):
 
 
 def test_h1_endpoints():
-    assert solver.h1(0.0) == pytest.approx(1.0 + 1e-7, abs=1e-16)
-    assert solver.h1(1.0) == pytest.approx(1e-7, abs=1e-16)
+    assert solver.h1(0.0, 1e-7) == pytest.approx(1.0 + 1e-7, abs=1e-16)
+    assert solver.h1(1.0, 1e-7) == pytest.approx(1e-7, abs=1e-16)
     assert solver.h1(0.5, eps_reg=0.0) == pytest.approx(0.25)
 
 
 def test_h2_endpoints_and_midpoint():
-    assert solver.h2(0.0, 50.0, 6.0) == pytest.approx(1.0 + 1e-7, abs=1e-12)
-    assert solver.h2(1.0, 50.0, 6.0) == pytest.approx(1e-7, abs=1e-12)
+    assert solver.h2(0.0, 50.0, 6.0, 1e-7) == pytest.approx(1.0 + 1e-7,
+                                                            abs=1e-12)
+    assert solver.h2(1.0, 50.0, 6.0, 1e-7) == pytest.approx(1e-7, abs=1e-12)
     # frozen midpoint: (1 - exp(-50 * 0.5^6)) / (1 - exp(-50))
     assert solver.h2(0.5, 50.0, 6.0, eps_reg=0.0) == pytest.approx(
         0.54216663822765787, rel=1e-12)
@@ -52,18 +54,11 @@ def test_h2_monotone_decreasing_all_shapes():
     d = np.linspace(0.0, 1.0, 1001)
     for k in (10.0, 50.0, 90.0):
         for n in (4.0, 6.0, 8.0):
-            v = solver.h2(d, k, n)
+            v = solver.h2(d, k, n, 1e-7)
             assert np.all(np.diff(v) <= 0.0), (k, n)
             assert v[0] > v[-1]
             interior = v[(d > 0.3) & (d < 0.9)]
             assert np.all(np.diff(interior) < 0.0), (k, n)
-
-
-def test_h2_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        solver.h2(0.5, -1.0, 6.0)
-    with pytest.raises(ValueError):
-        solver.h2(0.5, 50.0, 0.5)
 
 
 def test_material_point_validation():
@@ -75,6 +70,8 @@ def test_material_point_validation():
         _mat(Gc=0.0)
     with pytest.raises(ValueError):
         _mat(rho0=0.0)
+    with pytest.raises(ValueError):
+        _mat(k=0.0)
     with pytest.raises(ValueError):
         _mat(n=0.5)
     with pytest.raises(ValueError):
@@ -365,7 +362,7 @@ def test_charge_conservation_under_strain():
     con.fix("drive", dm.phi_dofs(m.set_nodes("xmin")), value=1.7e-3)
     con.fix("ground", dm.phi_dofs(m.set_nodes("xmax")))
     res = solver.run_load_program(sys_, con, ["pull"], [1e-5, 2e-5, 3e-5],
-                                  "drive", "ground", 1.7e-3)
+                                  "drive", "ground", 1.7e-3, max_cutbacks=10)
     assert not res.aborted
     for r in res.records:
         assert r.charge_mismatch < 1e-12
@@ -383,7 +380,7 @@ def test_resistance_matches_analytic_baseline():
     con.fix("drive", dm.phi_dofs(m.set_nodes("xmin")), value=1.7e-3)
     con.fix("ground", dm.phi_dofs(m.set_nodes("xmax")))
     res = solver.run_load_program(sys_, con, ["pull"], [1e-6],
-                                  "drive", "ground", 1.7e-3)
+                                  "drive", "ground", 1.7e-3, max_cutbacks=10)
     want = mat.rho0 * 0.05 / (0.013 * 0.005)
     got = res.records[0].resistance * (1.0 + mat.eps_reg)
     assert abs(got - want) / want < 1e-9
@@ -404,7 +401,7 @@ def test_gauge_response_positive_slope():
     con.fix("drive", dm.phi_dofs(m.set_nodes("xmin")), value=1.7e-3)
     con.fix("ground", dm.phi_dofs(m.set_nodes("xmax")))
     res = solver.run_load_program(sys_, con, ["pull"], [5e-6, 1e-5],
-                                  "drive", "ground", 1.7e-3)
+                                  "drive", "ground", 1.7e-3, max_cutbacks=10)
     rel = res.curve("rel_resistance")
     assert rel[0] == 0.0
     assert np.all(np.diff(rel) > 0.0)
@@ -423,7 +420,7 @@ def test_zero_voltage_zero_current():
     con.fix("drive", dm.phi_dofs(m.set_nodes("xmin")), value=0.0)
     con.fix("ground", dm.phi_dofs(m.set_nodes("xmax")))
     res = solver.run_load_program(sys_, con, ["pull"], [1e-5, 2e-5],
-                                  "drive", "ground", 0.0)
+                                  "drive", "ground", 0.0, max_cutbacks=10)
     assert np.all(res.curve("current") == 0.0)
     assert np.all(np.isinf(res.curve("resistance")))
 
@@ -442,9 +439,8 @@ def test_cutback_bisects_and_aborts_on_persistent_failure():
     con.fix("cy", dm.u_dofs(nodes, 1), pattern=m.nodes[:, 1], value=0.0)
     con.fix("drive", dm.phi_dofs(m.set_nodes("xmin")), value=1.0)
     con.fix("ground", dm.phi_dofs(m.set_nodes("xmax")))
-    cfg = solver.NonlinearSolveConfig(max_cutbacks=4)
     res = solver.run_load_program(sys_, con, ["cx", "cy"], [-0.4],
-                                  "drive", "ground", 1.0, cfg=cfg)
+                                  "drive", "ground", 1.0, max_cutbacks=4)
     assert res.aborted
     assert "definiteness" in res.abort_reason
     assert len(res.records) >= 1          # baseline survived
@@ -475,7 +471,7 @@ def test_record_counts_cutbacks(monkeypatch):
 
     monkeypatch.setattr(solver, "solve_step", flaky)
     res = solver.run_load_program(sys_, con, ["pull"], [1e-6, 2e-6],
-                                  "drive", "ground", 1.0)
+                                  "drive", "ground", 1.0, max_cutbacks=10)
     assert not res.aborted
     assert [r.cutbacks for r in res.records] == [0, 1, 0]
     assert len(calls) == 5
@@ -492,7 +488,8 @@ def test_run_deterministic():
         con.fix("drive", dm.phi_dofs(m.set_nodes("xmin")), value=1.7e-3)
         con.fix("ground", dm.phi_dofs(m.set_nodes("xmax")))
         return solver.run_load_program(sys_, con, ["pull"], [1e-5, 2e-5],
-                                       "drive", "ground", 1.7e-3)
+                                       "drive", "ground", 1.7e-3,
+                                       max_cutbacks=10)
 
     a, b = run(), run()
     for ra, rb in zip(a.records, b.records):
