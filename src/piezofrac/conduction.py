@@ -76,10 +76,8 @@ def tunneling_resistance(d, barrier_eV, area):
 
 
 class TunnelLayer(NamedTuple):
-    d_a: float        # tunneling distance, m
-    t: float          # dressed-layer thickness (= d_a / 2), m
+    t: float          # dressed-layer thickness (half the tunneling distance), m
     sigma_int: float  # layer conductivity, S/m
-    R_int: float      # junction resistance, ohm
 
 
 def interphase_layer(spec, channel, f_p=None, f_c=None):
@@ -103,7 +101,7 @@ def interphase_layer(spec, channel, f_p=None, f_c=None):
         raise ValueError(f"unknown transport channel {channel!r}")
     area = math.pi * spec.D_cnt ** 2 / 4.0
     R = tunneling_resistance(d_a, spec.lambda_eV, area)
-    return TunnelLayer(d_a, 0.5 * d_a, d_a / (area * R), R)
+    return TunnelLayer(0.5 * d_a, d_a / (area * R))
 
 
 def equivalent_cylinder(sigma_L, sigma_T, r, L, t, sigma_int):

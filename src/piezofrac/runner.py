@@ -30,12 +30,8 @@ class CaseSetup:
     constraints: object
     load_values: np.ndarray
     voltage: float
-    props: object
-    spec: object
-    h: float
     ell: float
     seed_ids: np.ndarray
-    defects: list
 
 
 @dataclass
@@ -69,22 +65,6 @@ def build_mesh(sc, rng=None):
             (g["length_x"], g["length_y"]), (g["nx"], g["ny"]),
             thickness=g["thickness"])
 
-    seed_ids = np.empty(0, dtype=np.int64)
-    if g["notch_mode"] != "none" and not dim3:
-        cx = g["notch_cx"]
-        cy = g["notch_cy"]
-        if math.isnan(cx):
-            cx = 0.5 * g["length_x"]
-        if math.isnan(cy):
-            cy = 0.5 * g["length_y"]
-        ang = math.radians(g["notch_angle_deg"])
-        t = np.array([math.cos(ang), math.sin(ang)])
-        start = np.array([cx, cy]) - 0.5 * g["notch_length"] * t
-        if g["notch_mode"] == "element":
-            meshing.cut_slit(m, start, ang, g["notch_length"])
-        else:
-            seed_ids = meshing.slit_elements(m, start, ang, g["notch_length"])
-
     for (hx, hy, hr) in g["holes"]:
         meshing.punch_hole(m, (hx, hy), hr)
 
@@ -100,6 +80,23 @@ def build_mesh(sc, rng=None):
             std_radius=g["defect_std_radius"],
             min_radius=g["defect_min_radius"])
         meshing.apply_defects(m, defects)
+
+    # after holes and defects: the slit band keeps only live elements
+    seed_ids = np.empty(0, dtype=np.int64)
+    if g["notch_mode"] != "none" and not dim3:
+        cx = g["notch_cx"]
+        cy = g["notch_cy"]
+        if math.isnan(cx):
+            cx = 0.5 * g["length_x"]
+        if math.isnan(cy):
+            cy = 0.5 * g["length_y"]
+        ang = math.radians(g["notch_angle_deg"])
+        t = np.array([math.cos(ang), math.sin(ang)])
+        start = np.array([cx, cy]) - 0.5 * g["notch_length"] * t
+        if g["notch_mode"] == "element":
+            meshing.cut_slit(m, start, ang, g["notch_length"])
+        else:
+            seed_ids = meshing.slit_elements(m, start, ang, g["notch_length"])
 
     if dim3 and g["surface_notches"] > 0:
         if rng is None:
@@ -133,8 +130,8 @@ def _surface_flaws(m, g, rng):
 
 def build_case(sc, rng=None):
     """Assemble the run-ready system for a scenario realization."""
-    props, spec = scenarios.resolve_material(sc)
-    m, seed_ids, defects = build_mesh(sc, rng)
+    props, _ = scenarios.resolve_material(sc)
+    m, seed_ids, _ = build_mesh(sc, rng)
     g, pf, lo, el = sc.geometry, sc.phase_field, sc.loading, sc.electrodes
 
     h = float(np.max(m.element_size()))
@@ -172,9 +169,8 @@ def build_case(sc, rng=None):
 
     load = np.linspace(lo["u_max"] / lo["steps"], lo["u_max"], lo["steps"])
     return CaseSetup(mesh=m, system=system, constraints=con,
-                     load_values=load, voltage=el["voltage"], props=props,
-                     spec=spec, h=h, ell=ell, seed_ids=seed_ids,
-                     defects=defects)
+                     load_values=load, voltage=el["voltage"], ell=ell,
+                     seed_ids=seed_ids)
 
 
 def initial_state(case, sc):

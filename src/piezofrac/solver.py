@@ -7,7 +7,9 @@ linearized piezoresistive law, and the damage equation driven by H.
 With H frozen the step problem is block lower triangular and linear in
 each block (d depends only on H, u on d, phi on u and d), so one sparse
 LU pass d -> u -> phi solves it exactly; this is the history-field
-scheme of Miehe, Hofacker & Welschinger (CMAME 2010).  The history is
+scheme of Miehe, Hofacker & Welschinger (CMAME 2010).  Each block solve
+assembles only its own block (`CoupledSystem.block`): its residual rows
+and their Jacobian, from one Gauss-point evaluation.  The history is
 advanced between steps, and a step that fails is bisected by
 `run_load_program`.
 """
@@ -105,18 +107,13 @@ class CoupledSystem:
         self.CB = np.einsum("KL,egLA->egKA", self.C, t.B)
         self.lam44 = 0.5 * (mat.lam11 - mat.lam12)
 
-        dim, nper = mesh.dim, t.conn.shape[1]
+        dim, dm = mesh.dim, self.dofmap
         self.edof_u = (t.conn[:, :, None] * dim
                        + np.arange(dim)[None, None, :]).reshape(len(t.conn), -1)
-        # sparsity patterns (block-local indices)
-        self.iu = np.broadcast_to(self.edof_u[:, :, None],
-                                  (len(t.conn), nper * dim, nper * dim)).ravel()
-        self.ju = np.broadcast_to(self.edof_u[:, None, :],
-                                  (len(t.conn), nper * dim, nper * dim)).ravel()
-        self.isc = np.broadcast_to(t.conn[:, :, None],
-                                   (len(t.conn), nper, nper)).ravel()
-        self.jsc = np.broadcast_to(t.conn[:, None, :],
-                                   (len(t.conn), nper, nper)).ravel()
+        # (element DOFs in block numbering, slice of x) per field block
+        self.blocks = ((self.edof_u, slice(0, dm.off_phi)),
+                       (t.conn, slice(dm.off_phi, dm.off_d)),
+                       (t.conn, slice(dm.off_d, dm.ndof)))
 
     # ------------------------------------------------------------ fields
 
@@ -189,79 +186,62 @@ class CoupledSystem:
 
     def residual(self, x, H):
         """Internal-force vector of all three blocks (full DOF layout)."""
-        t, dm, m = self.tables, self.dofmap, self.mat
-        eps, d_gp, gphi, gd = self._gauss(x)
-        w = t.w
-        h1v = h1(d_gp, m.eps_reg)
-        h2v = h2(d_gp, m.k, m.n, m.eps_reg)
+        return np.concatenate([self.block(k, x, H) for k in range(3)])
 
-        sig0 = np.einsum("KL,egL->egK", self.C, eps)
-        Ru_e = np.einsum("egKA,egK,eg->eA", t.B, sig0, w * h1v)
-
-        sig_c = self.conductivity(eps)
-        flux = np.einsum("egij,egj->egi", sig_c, gphi)
-        Rp_e = np.einsum("egai,egi,eg->ea", t.dNdx, flux, w * h2v)
-
-        bulk = (m.Gc / m.ell) * d_gp - 2.0 * (1.0 - d_gp) * H
-        Rd_e = (np.einsum("ga,eg->ea", t.N, bulk * w)
-                + m.Gc * m.ell * np.einsum("egai,egi,eg->ea", t.dNdx, gd, w))
-
-        R = np.zeros(dm.ndof)
-        R[:dm.off_phi] = np.bincount(self.edof_u.ravel(), Ru_e.ravel(),
-                                     minlength=dm.off_phi)
-        R[dm.off_phi:dm.off_d] = np.bincount(t.conn.ravel(), Rp_e.ravel(),
-                                             minlength=dm.n_nodes)
-        R[dm.off_d:] = np.bincount(t.conn.ravel(), Rd_e.ravel(),
-                                   minlength=dm.n_nodes)
-        if not np.isfinite(R).all():
-            bad = [int(e) for e in np.flatnonzero(
-                ~np.isfinite(Ru_e).all(axis=1)
-                | ~np.isfinite(Rp_e).all(axis=1)
-                | ~np.isfinite(Rd_e).all(axis=1))[:5]]
-            raise StepFailure(f"non-finite residual from active elements {bad}")
-        return R
-
-    def block_matrix(self, k, x, H):
-        """Sparse symmetric stiffness of field block k at state x.
+    def block(self, k, x, H, jacobian=False):
+        """Residual rows of field block k at state x, in block numbering.
 
         k indexes the blocks in DOF order: 0 displacement, 1 potential,
-        2 damage.  This is the exact Jacobian of that block's residual
-        rows at frozen cross-field values; `solve_step` assembles each
-        diagonal block of the block-triangular step problem just before
-        it solves it.
+        2 damage.  With `jacobian` it returns (R_k, K_k), where K_k is
+        the sparse symmetric exact Jacobian of those rows in that
+        block's unknowns at frozen cross-field values, built from the
+        same Gauss-point data.
         """
-        t, dm, m = self.tables, self.dofmap, self.mat
+        t, m = self.tables, self.mat
         w = t.w
+        eps, d_gp, gphi, gd = self._gauss(x)
         if k == 0:
-            _, d_gp, _, _ = self._gauss(x)
-            K_e = np.einsum("egKA,egKB,eg->eAB", t.B, self.CB,
-                            w * h1(d_gp, m.eps_reg))
-            rows, cols, n = self.iu, self.ju, dm.off_phi
+            wh = w * h1(d_gp, m.eps_reg)
+            sig0 = np.einsum("KL,egL->egK", self.C, eps)
+            R_e = np.einsum("egKA,egK,eg->eA", t.B, sig0, wh)
+            if jacobian:
+                K_e = np.einsum("egKA,egKB,eg->eAB", t.B, self.CB, wh)
         elif k == 1:
-            eps, d_gp, _, _ = self._gauss(x)
-            K_e = np.einsum("egai,egij,egbj,eg->eab", t.dNdx,
-                            self.conductivity(eps), t.dNdx,
-                            w * h2(d_gp, m.k, m.n, m.eps_reg))
-            rows, cols, n = self.isc, self.jsc, dm.n_nodes
+            wh = w * h2(d_gp, m.k, m.n, m.eps_reg)
+            sig_c = self.conductivity(eps)
+            flux = np.einsum("egij,egj->egi", sig_c, gphi)
+            R_e = np.einsum("egai,egi,eg->ea", t.dNdx, flux, wh)
+            if jacobian:
+                K_e = np.einsum("egai,egij,egbj,eg->eab", t.dNdx, sig_c,
+                                t.dNdx, wh)
         elif k == 2:
-            mass = np.einsum("ga,gb,eg->eab", t.N, t.N,
-                             w * (m.Gc / m.ell + 2.0 * H))
-            K_e = mass + m.Gc * m.ell * np.einsum("egai,egbi,eg->eab",
-                                                  t.dNdx, t.dNdx, w)
-            rows, cols, n = self.isc, self.jsc, dm.n_nodes
+            bulk = (m.Gc / m.ell) * d_gp - 2.0 * (1.0 - d_gp) * H
+            R_e = (np.einsum("ga,eg->ea", t.N, bulk * w)
+                   + m.Gc * m.ell * np.einsum("egai,egi,eg->ea", t.dNdx, gd, w))
+            if jacobian:
+                mass = np.einsum("ga,gb,eg->eab", t.N, t.N,
+                                 w * (m.Gc / m.ell + 2.0 * H))
+                K_e = mass + m.Gc * m.ell * np.einsum("egai,egbi,eg->eab",
+                                                      t.dNdx, t.dNdx, w)
         else:
             raise ValueError(f"block index must be 0, 1 or 2, got {k}")
-        return coo_matrix((K_e.ravel(), (rows, cols)), shape=(n, n)).tocsc()
+
+        edof, sl = self.blocks[k]
+        n = sl.stop - sl.start
+        R = np.bincount(edof.ravel(), R_e.ravel(), minlength=n)
+        if not np.isfinite(R).all():
+            bad = [int(e) for e in
+                   np.flatnonzero(~np.isfinite(R_e).all(axis=1))[:5]]
+            raise StepFailure(f"non-finite residual from active elements {bad}")
+        if not jacobian:
+            return R
+        nper = edof.shape[1]
+        rows = np.repeat(edof, nper, axis=1).ravel()
+        cols = np.tile(edof, nper).ravel()
+        return R, coo_matrix((K_e.ravel(), (rows, cols)), shape=(n, n)).tocsc()
 
 
 # ------------------------------------------------------------- stepping
-
-
-def _split_free(dofmap, free):
-    fu = free[free < dofmap.off_phi]
-    fp = free[(free >= dofmap.off_phi) & (free < dofmap.off_d)]
-    fd = free[free >= dofmap.off_d]
-    return fu, fp, fd
 
 
 def solve_step(system, state, constraints, d_floor=None):
@@ -274,8 +254,10 @@ def solve_step(system, state, constraints, d_floor=None):
     the order d, u, phi, therefore zeroes every free residual row.  The
     monolithic residual vanishes exactly when each block's does, so this
     is the fixed point a monolithic quasi-Newton iteration converges to,
-    reached without iterating; electrode currents balance to
-    factorization precision.
+    reached without iterating.  Each solve assembles only its own
+    block's rows and Jacobian and applies the increment
+    x_f -= K_ff^-1 R_f with R in element flux form, so electrode
+    currents balance to factorization precision.
     Damage bounds are applied between the damage and displacement
     solves so the final fields stay mutually consistent.
 
@@ -286,23 +268,21 @@ def solve_step(system, state, constraints, d_floor=None):
     definiteness, a residual turns non-finite, or damage drops by more
     than `_D_DROP_TOL`.
     """
-    dm = system.dofmap
     fixed, vals, free = constraints.build()
-    fu, fp, fd = _split_free(dm, free)
-
     x = state.x.copy()
     x[fixed] = vals
     H = state.H
     solves = 0
-    # (free DOFs, block offset, block index)
-    for f, off, k in ((fd, dm.off_d, 2), (fu, 0, 0), (fp, dm.off_phi, 1)):
+    for k in (2, 0, 1):
+        sl = system.blocks[k][1]
+        xk = x[sl]
+        f = free[(free >= sl.start) & (free < sl.stop)] - sl.start
         if f.size:
-            K = system.block_matrix(k, x, H)
-            R = system.residual(x, H)
-            x[f] -= splu(K[f - off][:, f - off]).solve(R[f])
+            R, K = system.block(k, x, H, jacobian=True)
+            xk[f] -= splu(K[f][:, f]).solve(R[f])
             solves += 1
-        if off == dm.off_d:
-            _apply_damage_bounds(x[dm.off_d:], d_floor)
+        if k == 2:
+            _apply_damage_bounds(xk, d_floor)
     return FieldState(x, H.copy()), solves
 
 
@@ -383,25 +363,24 @@ def run_load_program(system, constraints, load_groups, load_values,
     ground_dofs = constraints.group_dofs(ground_group)
 
     records = []
-    d_prev = state.x[system.dofmap.off_d:].copy()
+    off_d = system.dofmap.off_d
 
     def solve_at(value, step_index, cutbacks):
-        nonlocal state, d_prev
         for g in load_groups:
             constraints.set_value(g, value)
-        state, _ = solve_step(system, state, constraints, d_floor=d_prev)
-        d_prev = state.x[system.dofmap.off_d:].copy()
-        R = system.residual(state.x, state.H)
-        rec = _make_record(system, state, R, value, step_index,
+        new, _ = solve_step(system, state, constraints,
+                            d_floor=state.x[off_d:])
+        R = system.residual(new.x, new.H)
+        rec = _make_record(system, new, R, value, step_index,
                            load_dofs, drive_dofs, ground_dofs, voltage,
                            cutbacks,
                            records[0].resistance if records else None)
-        advance_history(system, state)
-        return rec
+        advance_history(system, new)
+        return rec, new
 
     # unstrained baseline (R0) before the program
     try:
-        rec = solve_at(0.0, 0, 0)
+        rec, state = solve_at(0.0, 0, 0)
     except StepFailure as err:
         return RunResult([], state, aborted=True,
                          abort_reason=f"baseline solve failed: {err}")
@@ -415,12 +394,9 @@ def run_load_program(system, constraints, load_groups, load_values,
         depth = 0
         while stack:
             value = stack[-1]
-            saved = state.copy()
-            saved_d = d_prev.copy()
             try:
-                rec = solve_at(value, i, depth)
+                rec, state = solve_at(value, i, depth)
             except StepFailure as err:
-                state, d_prev = saved, saved_d
                 depth += 1
                 if depth > max_cutbacks:
                     return RunResult(records, state, aborted=True,

@@ -172,7 +172,7 @@ def test_04_jacobians_match_finite_differences():
             spans = ((0, dm.off_phi), (dm.off_phi, dm.off_d),
                      (dm.off_d, dm.ndof))
             for k, (lo, hi) in enumerate(spans):
-                K = sys_.block_matrix(k, x, H)
+                K = sys_.block(k, x, H, jacobian=True)[1]
                 e = rng.standard_normal(hi - lo)
                 e /= np.linalg.norm(e)
                 step = 1e-6 * max(float(np.abs(x[lo:hi]).max()), 1e-3)

@@ -16,6 +16,10 @@ The same holds for a dataclass field with a default: some code in
 `replace` or `Scenario.replace`) or as the constant key of a subscript
 assignment, as the material resolver fills the keyword dict it hands
 to `preset`.
+
+And every dataclass or NamedTuple field must be read: some code in
+`src/piezofrac` loads an attribute of that name.  A field that is only
+written is carried along for nobody.
 """
 
 import ast
@@ -175,3 +179,50 @@ def test_every_defaulted_field_is_set_in_src():
              if name not in settings]
     assert not unset, "defaulted dataclass fields nothing in src sets: " + \
         ", ".join(unset)
+
+
+# (class, field) pairs that only readers outside src read, each with
+# the reason
+ALLOWED_UNREAD_FIELDS = {
+    # accept 10 and the benchmark's output check bound the charge
+    # mismatch of every step
+    ("StepRecord", "charge_mismatch"),
+    # the per-step cutback count, kept for a per-step run record
+    ("StepRecord", "cutbacks"),
+}
+
+
+def _is_named_tuple(cls):
+    return any(getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple"
+               for b in cls.bases)
+
+
+def _fields_and_reads():
+    fields, reads = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and (
+                    _is_dataclass(node) or _is_named_tuple(node)):
+                fields += [(path.name, node.name, f.target.id)
+                           for f in node.body
+                           if isinstance(f, ast.AnnAssign)
+                           and isinstance(f.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                                ast.Load):
+                reads.add(node.attr)
+    return fields, reads
+
+
+def test_every_field_is_read_in_src():
+    fields, reads = _fields_and_reads()
+    assert len(fields) > 50   # the walk found the package's records
+    unread = [f"{module} {cls}.{name}" for module, cls, name in fields
+              if name not in reads and (cls, name) not in ALLOWED_UNREAD_FIELDS]
+    assert not unread, "fields nothing in src reads: " + ", ".join(unread)
+
+
+def test_field_allowlist_names_unread_fields_only():
+    fields, reads = _fields_and_reads()
+    found = {(cls, name) for _, cls, name in fields}
+    assert ALLOWED_UNREAD_FIELDS <= found
+    assert not {name for _, name in ALLOWED_UNREAD_FIELDS} & reads

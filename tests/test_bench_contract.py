@@ -23,7 +23,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 
 
-@pytest.mark.parametrize("workload", ["plate2d", "cylinder3d"])
+@pytest.mark.parametrize("workload", ["plate2d", "cylinder3d", "ensemble"])
 def test_traced_workload_matches_reference(workload, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.update({var: "1" for var in THREAD_VARS})

@@ -87,13 +87,12 @@ def test_tunneling_resistance_scalings():
 
 def test_interphase_layer_channels(panel):
     eh = conduction.interphase_layer(panel, "EH")
-    assert eh.d_a == panel.d_c
-    assert eh.t == 0.5 * panel.d_c
+    assert 2 * eh.t == panel.d_c
     f_c = conduction.percolation_threshold(panel.kappa)
     cn = conduction.interphase_layer(panel, "CN", f_p=panel.f_p0, f_c=f_c)
-    assert np.isclose(cn.d_a, panel.d_c * (f_c / panel.f_p0) ** (1.0 / 3.0),
+    assert np.isclose(2 * cn.t, panel.d_c * (f_c / panel.f_p0) ** (1.0 / 3.0),
                       rtol=1e-12)
-    assert cn.d_a < eh.d_a
+    assert cn.t < eh.t
     # conductive-network spacing undefined below the onset
     with pytest.raises(ValueError):
         conduction.interphase_layer(panel, "CN", f_p=0.5 * f_c, f_c=f_c)

@@ -179,6 +179,18 @@ def test_build_mesh_seed_mode():
     assert np.all(st.H[seed_ids] > 0.0)
 
 
+def test_seeded_notch_under_hole_runs():
+    # the hole covers the seeded notch: only live elements are seeded
+    sc = scenario.canned("plate_fp4")
+    sc = sc.replace("geometry", nx=12, ny=24, notch_mode="seed",
+                    holes=((0.05, 0.10, 0.03),))
+    sc = sc.replace("loading", steps=5)
+    m, seed_ids, _ = runner.build_mesh(sc)
+    assert m.active[seed_ids].all()
+    s = runner.run_case(sc)
+    assert s.status == "ok", s.reason
+
+
 def test_build_mesh_defects_reproducible():
     sc = scenario.parse_text(CRACKING, "cracking")
     sc = sc.replace("geometry", notch_mode="none", defect_area_fraction=0.05,
