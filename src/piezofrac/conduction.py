@@ -9,6 +9,11 @@ the filler volume change, fiber reorientation, and the shift of the
 percolation onset; differentiating the resulting resistivity yields
 the linearized piezoresistive coefficients used by the field solver.
 
+The orientation moment and the percolation-onset pair integral use
+fixed Gauss-Legendre rules.  Their nodes, weights and fixed trigonometric
+factors are built once, at import, as read-only module arrays; an
+evaluation only computes the strained density on them.
+
 All inputs are SI except where an eV argument is named as such.
 """
 
@@ -154,6 +159,52 @@ def strained_odf(stretches):
     return w
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _onset_rule():
+    """Nodes over [0, pi] and the fixed factors of the pair integral.
+
+    Returns g, the (g1, g2) node grids, sin(g), the product
+    cc[b, 0, d] = cos(g_b) cos(g_d), and the quadrature weights times
+    sin(g2).
+    """
+    x, wq = np.polynomial.legendre.leggauss(_ONSET_ORDER)
+    g = 0.5 * np.pi * (x + 1.0)
+    w = 0.5 * np.pi * wq
+    G1, G2 = np.meshgrid(g, g, indexing="ij")
+    c, s = np.cos(g), np.sin(g)
+    cc = c[:, None, None] * c[None, None, :]
+    return _read_only(g, G1, G2, s, cc, np.outer(w, w * s))
+
+
+def _moment_rule():
+    """Node grids, sin-weighted weights and fiber axes of the moment rule.
+
+    The azimuth a1 runs over [0, 2pi] and the inclination a2 over
+    [0, pi/2]; m[:, i, j] is the unit fiber axis at (a1_i, a2_j).
+    """
+    g1, w1 = np.polynomial.legendre.leggauss(_MOMENT_ORDER)
+    a1 = np.pi * (g1 + 1.0)
+    w1 = np.pi * w1
+    g2, w2 = np.polynomial.legendre.leggauss(_MOMENT_ORDER)
+    a2 = 0.25 * np.pi * (g2 + 1.0)
+    w2 = 0.25 * np.pi * w2
+    A1, A2 = np.meshgrid(a1, a2, indexing="ij")
+    m = np.stack([np.cos(A1) * np.sin(A2),
+                  np.sin(A1) * np.sin(A2),
+                  np.cos(A2)])
+    return _read_only(A1, A2, np.outer(w1, w2 * np.sin(a2)), m)
+
+
+_ONSET_G, _ONSET_G1, _ONSET_G2, _ONSET_SIN, _ONSET_CC, _ONSET_AREA = \
+    _onset_rule()
+_MOMENT_A1, _MOMENT_A2, _MOMENT_WEIGHT, _MOMENT_AXES = _moment_rule()
+
+
 @lru_cache(maxsize=256)
 def _pair_integral(stretches):
     """Average sine of the angle between fiber pairs under the given ODF.
@@ -161,18 +212,11 @@ def _pair_integral(stretches):
     Both orientations run over [0, pi]^2 with the sin(gamma2) area
     weight; the density is normalized over that domain.
     """
-    x, wq = np.polynomial.legendre.leggauss(_ONSET_ORDER)
-    g = 0.5 * np.pi * (x + 1.0)
-    w = 0.5 * np.pi * wq
-    odf = strained_odf(stretches)
-    G1, G2 = np.meshgrid(g, g, indexing="ij")
-    dens = odf(G1, G2)                      # (n, n) over (g1, g2)
-    area = np.outer(w, w * np.sin(g))       # quadrature x sin(g2)
-    norm = float(np.sum(dens * area))
-    wh = dens * area / norm                 # normalized point masses
+    g, s, cc = _ONSET_G, _ONSET_SIN, _ONSET_CC
+    dens = strained_odf(stretches)(_ONSET_G1, _ONSET_G2)  # over (g1, g2)
+    norm = float(np.sum(dens * _ONSET_AREA))
+    wh = dens * _ONSET_AREA / norm          # normalized point masses
 
-    c, s = np.cos(g), np.sin(g)
-    cc = c[:, None, None] * c[None, None, :]
     # cos of angle between (g1,g2) and (g1',g2') depends on g1 - g1';
     # one g1 row at a time keeps the work array at _ONSET_ORDER**3
     J = np.empty((g.size, g.size))
@@ -198,20 +242,10 @@ def percolation_threshold(s, stretches=(1.0, 1.0, 1.0)):
 
 def _second_moment(odf):
     """<m x m> of the fiber axis under the normalized density."""
-    g1, w1 = np.polynomial.legendre.leggauss(_MOMENT_ORDER)
-    a1 = np.pi * (g1 + 1.0)            # [0, 2pi]
-    w1 = np.pi * w1
-    g2, w2 = np.polynomial.legendre.leggauss(_MOMENT_ORDER)
-    a2 = 0.25 * np.pi * (g2 + 1.0)     # [0, pi/2]
-    w2 = 0.25 * np.pi * w2
-    A1, A2 = np.meshgrid(a1, a2, indexing="ij")
-    dens = odf(A1, A2) if odf is not None else np.ones_like(A1)
-    wt = np.outer(w1, w2 * np.sin(a2)) * dens
-    wt /= np.sum(wt)
-    m = np.stack([np.cos(A1) * np.sin(A2),
-                  np.sin(A1) * np.sin(A2),
-                  np.cos(A2)])
-    return np.einsum("iab,jab,ab->ij", m, m, wt)
+    wt = (_MOMENT_WEIGHT if odf is None
+          else _MOMENT_WEIGHT * odf(_MOMENT_A1, _MOMENT_A2))
+    wt = wt / np.sum(wt)
+    return np.einsum("iab,jab,ab->ij", _MOMENT_AXES, _MOMENT_AXES, wt)
 
 
 def _channel_tensor(sig_L, sig_T, S11, S33, f_eff, sigma_m, M2):

@@ -252,19 +252,24 @@ def write_vtk(path, mesh, point_data=None, cell_data=None):
     """
     elems = mesh.elems[mesh.active]
     nodes = mesh.nodes
+
+    def rows(fmt, arr):
+        return (fmt * len(arr)) % tuple(arr.ravel().tolist())
+
+    def xyz(arr, n):
+        pad = np.zeros((n, 3))
+        pad[:, :arr.shape[1]] = arr
+        return rows("%.9g %.9g %.9g\n", pad)
+
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\n")
         f.write("structured composite specimen\n")
         f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {len(nodes)} double\n")
-        pad = np.zeros((len(nodes), 3))
-        pad[:, :mesh.dim] = nodes
-        for row in pad:
-            f.write(f"{row[0]:.9g} {row[1]:.9g} {row[2]:.9g}\n")
+        f.write(xyz(nodes, len(nodes)))
         nper = elems.shape[1]
         f.write(f"CELLS {len(elems)} {len(elems) * (nper + 1)}\n")
-        for conn in elems:
-            f.write(str(nper) + " " + " ".join(str(v) for v in conn) + "\n")
+        f.write(rows(f"{nper}" + " %d" * nper + "\n", elems))
         f.write(f"CELL_TYPES {len(elems)}\n")
         f.write("\n".join([str(_VTK_CELL[nper])] * len(elems)) + "\n")
 
@@ -273,13 +278,10 @@ def write_vtk(path, mesh, point_data=None, cell_data=None):
                 arr = np.asarray(arr, dtype=float)
                 if arr.ndim == 1:
                     f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                    f.write("\n".join(f"{v:.9g}" for v in arr) + "\n")
+                    f.write(rows("%.9g\n", arr) or "\n")
                 else:
                     f.write(f"VECTORS {name} double\n")
-                    pad = np.zeros((n, 3))
-                    pad[:, :arr.shape[1]] = arr
-                    for row in pad:
-                        f.write(f"{row[0]:.9g} {row[1]:.9g} {row[2]:.9g}\n")
+                    f.write(xyz(arr, n))
 
         if point_data:
             f.write(f"POINT_DATA {len(nodes)}\n")

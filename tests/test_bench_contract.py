@@ -1,11 +1,12 @@
-"""The benchmark's traced output check, run once per FE workload.
+"""The benchmark's traced output check, run once per workload.
 
 `perfbench/worker.py --trace` wraps every public callable of the package
 in a span and hooks a few of their results (`solve_step`'s block-solve
 count, the factor returned by `solver.splu`, the file `write_vtk`
-wrote), then checks the run's curves against `perfbench/reference.json`.
-A change to any of those signatures or outputs fails here, in the test
-suite, and not only in a benchmark run.
+wrote), then checks the run's outputs against `perfbench/reference.json`:
+the FE workloads' curves, and on `props` the 28 cards (within 1e-9 of
+each column's largest value) and the three trend flags.  A change to any of those signatures or outputs
+fails here, in the test suite, and not only in a benchmark run.
 """
 
 import json
@@ -23,7 +24,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 
 
-@pytest.mark.parametrize("workload", ["plate2d", "cylinder3d", "ensemble"])
+@pytest.mark.parametrize("workload", ["plate2d", "cylinder3d", "ensemble",
+                                      "props"])
 def test_traced_workload_matches_reference(workload, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.update({var: "1" for var in THREAD_VARS})

@@ -10,7 +10,7 @@ conductivity.
 import numpy as np
 import pytest
 
-from piezofrac import conduction, mesh as meshing, solver
+from piezofrac import conduction, materials, mesh as meshing, solver
 
 
 def _random_rotation(seed):
@@ -155,6 +155,50 @@ def test_second_moment_uniform_and_stretched():
     assert np.isclose(np.trace(M2s), 1.0, rtol=1e-12)
     assert np.isclose(M2s[2, 2] - 1.0 / 3.0, 4.0 * delta / 15.0, rtol=0.05)
     assert M2s[0, 0] < 1.0 / 3.0 < M2s[2, 2]
+
+
+def _moment_rule_inline(odf):
+    """<m x m> with the 32 x 32 moment rule built from scratch."""
+    g1, w1 = np.polynomial.legendre.leggauss(32)
+    a1, w1 = np.pi * (g1 + 1.0), np.pi * w1
+    g2, w2 = np.polynomial.legendre.leggauss(32)
+    a2, w2 = 0.25 * np.pi * (g2 + 1.0), 0.25 * np.pi * w2
+    A1, A2 = np.meshgrid(a1, a2, indexing="ij")
+    dens = odf(A1, A2) if odf is not None else np.ones_like(A1)
+    wt = np.outer(w1, w2 * np.sin(a2)) * dens
+    wt /= np.sum(wt)
+    m = np.stack([np.cos(A1) * np.sin(A2), np.sin(A1) * np.sin(A2),
+                  np.cos(A2)])
+    return np.einsum("iab,jab,ab->ij", m, m, wt)
+
+
+def test_second_moment_matches_rule_built_per_call():
+    w = conduction.strained_odf((1.004, 0.999, 0.998))
+    for odf in (None, w):
+        assert np.array_equal(conduction._second_moment(odf),
+                              _moment_rule_inline(odf))
+
+
+def test_quadrature_rules_are_read_only():
+    rules = [conduction._MOMENT_A1, conduction._MOMENT_A2,
+             conduction._MOMENT_WEIGHT, conduction._MOMENT_AXES,
+             conduction._ONSET_G, conduction._ONSET_G1, conduction._ONSET_G2,
+             conduction._ONSET_SIN, conduction._ONSET_CC,
+             conduction._ONSET_AREA]
+    for arr in rules:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0.0
+
+
+def test_property_card_builds_no_quadrature(panel, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"leggauss({n}) called per evaluation")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    conduction._pair_integral.cache_clear()
+    props = materials.derive_properties(panel.with_filler(0.0137))
+    assert props.rho0 > 0.0 and props.f_c > 0.0
 
 
 def test_percolation_onset_product_constant_across_aspect_ratios():

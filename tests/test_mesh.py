@@ -184,6 +184,63 @@ def test_vtk_writer_structure(tmp_path):
     assert text[itype + 1].strip() == "9"
 
 
+_GOLDEN_VTK = """\
+# vtk DataFile Version 3.0
+structured composite specimen
+ASCII
+DATASET UNSTRUCTURED_GRID
+POINTS 6 double
+0 0 0
+0 1 0
+1 0 0
+1 1 0
+2 0 0
+2 1 0
+CELLS 1 5
+4 0 2 3 1
+CELL_TYPES 1
+9
+POINT_DATA 6
+SCALARS phi double 1
+LOOKUP_TABLE default
+-0
+1e-300
+2.5e+10
+nan
+inf
+0.333333333
+VECTORS u double
+-0.714285714 -0.571428571 0
+-0.428571429 -0.285714286 0
+-0.142857143 0 0
+0.142857143 0.285714286 0
+0.428571429 0.571428571 0
+0.714285714 0.857142857 0
+CELL_DATA 1
+SCALARS d double 1
+LOOKUP_TABLE default
+0.125
+"""
+
+
+def test_vtk_writer_golden_file(tmp_path):
+    m = meshing.structured_mesh((2.0, 1.0), (2, 1))
+    m.active[1] = False
+    path = tmp_path / "m.vtk"
+    phi = np.array([-0.0, 1e-300, 2.5e10, np.nan, np.inf, 1.0 / 3.0])
+    u = (np.arange(12.0).reshape(6, 2) - 5.0) / 7.0
+    meshing.write_vtk(path, m, point_data={"phi": phi, "u": u},
+                      cell_data={"d": np.array([0.125])})
+    assert path.read_text() == _GOLDEN_VTK
+
+    # no active element: the cell blocks are empty but keep their newline
+    m.active[:] = False
+    meshing.write_vtk(path, m, cell_data={"d": np.zeros(0)})
+    tail = path.read_text().split("2 1 0\n", 1)[1]
+    assert tail == ("CELLS 0 0\nCELL_TYPES 0\n\nCELL_DATA 0\n"
+                    "SCALARS d double 1\nLOOKUP_TABLE default\n\n")
+
+
 def test_active_nodes_tracks_carving():
     m = meshing.structured_mesh((1.0, 1.0), (4, 4))
     assert m.active_nodes().all()
