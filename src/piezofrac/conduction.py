@@ -11,8 +11,10 @@ the linearized piezoresistive coefficients used by the field solver.
 
 The orientation moment and the percolation-onset pair integral use
 fixed Gauss-Legendre rules.  Their nodes, weights and fixed trigonometric
-factors are built once, at import, as read-only module arrays; an
-evaluation only computes the strained density on them.
+factors (for the moment rule, the sines and cosines of both node grids)
+are built once, at import, as read-only module arrays; an evaluation
+only computes the strained density on them, with `strained_odf`'s own
+expression.
 
 All inputs are SI except where an eV argument is named as such.
 """
@@ -144,19 +146,28 @@ def strained_odf(stretches):
     the returned callable w(gamma1, gamma2) is relative to the uniform
     density and reduces to 1 for the undeformed state.
     """
+    l1, l2, l3 = _checked_stretches(stretches)
+
+    def w(g1, g2):
+        return _strained_density(l1, l2, l3, np.sin(g1), np.cos(g1),
+                                 np.sin(g2), np.cos(g2))
+
+    return w
+
+
+def _checked_stretches(stretches):
     l1, l2, l3 = (float(v) for v in stretches)
     if min(l1, l2, l3) <= 0.0:
         raise ValueError(f"stretches must be positive: {(l1, l2, l3)}")
+    return l1, l2, l3
+
+
+def _strained_density(l1, l2, l3, s1, c1, s2, c2):
+    """`strained_odf`'s density from the sines and cosines of its angles."""
     num = (l1 * l2 * l3) ** 2
-
-    def w(g1, g2):
-        s1, c1 = np.sin(g1), np.cos(g1)
-        s2, c2 = np.sin(g2), np.cos(g2)
-        den = (l1 * l1 * l2 * l2 * c2 * c2
-               + l3 * l3 * (l1 * l1 * s1 * s1 + l2 * l2 * c1 * c1) * s2 * s2)
-        return num / den ** 1.5
-
-    return w
+    den = (l1 * l1 * l2 * l2 * c2 * c2
+           + l3 * l3 * (l1 * l1 * s1 * s1 + l2 * l2 * c1 * c1) * s2 * s2)
+    return num / den ** 1.5
 
 
 def _read_only(*arrays):
@@ -182,10 +193,12 @@ def _onset_rule():
 
 
 def _moment_rule():
-    """Node grids, sin-weighted weights and fiber axes of the moment rule.
+    """Node trigonometry, sin-weighted weights and fiber axes of the
+    moment rule.
 
     The azimuth a1 runs over [0, 2pi] and the inclination a2 over
-    [0, pi/2]; m[:, i, j] is the unit fiber axis at (a1_i, a2_j).
+    [0, pi/2]; the first four arrays are sin and cos of the (a1, a2)
+    node grids, and m[:, i, j] is the unit fiber axis at (a1_i, a2_j).
     """
     g1, w1 = np.polynomial.legendre.leggauss(_MOMENT_ORDER)
     a1 = np.pi * (g1 + 1.0)
@@ -194,15 +207,15 @@ def _moment_rule():
     a2 = 0.25 * np.pi * (g2 + 1.0)
     w2 = 0.25 * np.pi * w2
     A1, A2 = np.meshgrid(a1, a2, indexing="ij")
-    m = np.stack([np.cos(A1) * np.sin(A2),
-                  np.sin(A1) * np.sin(A2),
-                  np.cos(A2)])
-    return _read_only(A1, A2, np.outer(w1, w2 * np.sin(a2)), m)
+    s1, c1, s2, c2 = np.sin(A1), np.cos(A1), np.sin(A2), np.cos(A2)
+    m = np.stack([c1 * s2, s1 * s2, c2])
+    return _read_only(s1, c1, s2, c2, np.outer(w1, w2 * np.sin(a2)), m)
 
 
 _ONSET_G, _ONSET_G1, _ONSET_G2, _ONSET_SIN, _ONSET_CC, _ONSET_AREA = \
     _onset_rule()
-_MOMENT_A1, _MOMENT_A2, _MOMENT_WEIGHT, _MOMENT_AXES = _moment_rule()
+(_MOMENT_SIN1, _MOMENT_COS1, _MOMENT_SIN2, _MOMENT_COS2, _MOMENT_WEIGHT,
+ _MOMENT_AXES) = _moment_rule()
 
 
 @lru_cache(maxsize=256)
@@ -240,10 +253,11 @@ def percolation_threshold(s, stretches=(1.0, 1.0, 1.0)):
     return np.pi / (5.77 * s * I)
 
 
-def _second_moment(odf):
-    """<m x m> of the fiber axis under the normalized density."""
-    wt = (_MOMENT_WEIGHT if odf is None
-          else _MOMENT_WEIGHT * odf(_MOMENT_A1, _MOMENT_A2))
+def _second_moment(stretches):
+    """<m x m> of the fiber axis under the normalized strained density."""
+    wt = _MOMENT_WEIGHT * _strained_density(
+        *_checked_stretches(stretches),
+        _MOMENT_SIN1, _MOMENT_COS1, _MOMENT_SIN2, _MOMENT_COS2)
     wt = wt / np.sum(wt)
     return np.einsum("iab,jab,ab->ij", _MOMENT_AXES, _MOMENT_AXES, wt)
 
@@ -290,8 +304,7 @@ def effective_conductivity(spec, strain=None):
     xi = percolated_fraction(f_p, f_c)
 
     deformed = strain is not None and bool(np.any(np.abs(lam - 1.0) > 1e-14))
-    odf = strained_odf(lam) if deformed else None
-    M2 = _second_moment(odf) if deformed else np.eye(3) / 3.0
+    M2 = _second_moment(lam) if deformed else np.eye(3) / 3.0
 
     r_fib = 0.5 * spec.D_cnt
     L = spec.L_cnt

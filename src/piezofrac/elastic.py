@@ -77,51 +77,36 @@ def eshelby_prolate(kappa, nu_m):
     if not -1.0 < nu_m < 0.5:
         raise ValueError(f"matrix Poisson ratio outside (-1, 0.5): {nu_m}")
     nu = nu_m
-    S = np.zeros((3, 3, 3, 3))
-
-    def set_pair(i, j, k, l, v):
-        S[i, j, k, l] = v
-        S[j, i, k, l] = v
-        S[i, j, l, k] = v
-        S[j, i, l, k] = v
-
+    # V[I, J] is the tensor component S_ijkl of the Voigt slots I = (i, j)
+    # and J = (k, l)
+    V = np.zeros((6, 6))
     if kappa == 1.0:
-        a = (7.0 - 5.0 * nu) / (15.0 * (1.0 - nu))
-        b = (5.0 * nu - 1.0) / (15.0 * (1.0 - nu))
-        c = (4.0 - 5.0 * nu) / (15.0 * (1.0 - nu))
-        for i in range(3):
-            for j in range(3):
-                set_pair(i, i, j, j, a if i == j else b)
-        for (i, j) in ((0, 1), (0, 2), (1, 2)):
-            set_pair(i, j, i, j, c)
-        return tensors.full_to_strain_map(S)
+        V[:3, :3] = (5.0 * nu - 1.0) / (15.0 * (1.0 - nu))
+        V[[0, 1, 2], [0, 1, 2]] = (7.0 - 5.0 * nu) / (15.0 * (1.0 - nu))
+        V[[3, 4, 5], [3, 4, 5]] = (4.0 - 5.0 * nu) / (15.0 * (1.0 - nu))
+    else:
+        # unit transverse semi-axes, long axis kappa along x3
+        k2 = kappa * kappa
+        e = k2 - 1.0
+        I1 = (2.0 * np.pi * kappa / e ** 1.5
+              * (kappa * math.sqrt(e) - math.acosh(kappa)))
+        I3 = 4.0 * np.pi - 2.0 * I1
+        I13 = (I1 - I3) / e
+        I11 = np.pi - 0.25 * I13
+        I12 = I11
+        I33 = (4.0 * np.pi / k2 - 2.0 * I13) / 3.0
 
-    # unit transverse semi-axes, long axis kappa along x3
-    k2 = kappa * kappa
-    e = k2 - 1.0
-    I1 = 2.0 * np.pi * kappa / e ** 1.5 * (kappa * math.sqrt(e) - math.acosh(kappa))
-    I3 = 4.0 * np.pi - 2.0 * I1
-    I13 = (I1 - I3) / e
-    I11 = np.pi - 0.25 * I13
-    I12 = I11
-    I33 = (4.0 * np.pi / k2 - 2.0 * I13) / 3.0
+        q = 1.0 / (8.0 * np.pi * (1.0 - nu))
+        m = (1.0 - 2.0 * nu)
 
-    q = 1.0 / (8.0 * np.pi * (1.0 - nu))
-    m = (1.0 - 2.0 * nu)
-
-    set_pair(0, 0, 0, 0, q * (3.0 * I11 + m * I1))
-    set_pair(1, 1, 1, 1, q * (3.0 * I11 + m * I1))
-    set_pair(2, 2, 2, 2, q * (3.0 * k2 * I33 + m * I3))
-    set_pair(0, 0, 1, 1, q * (I12 - m * I1))
-    set_pair(1, 1, 0, 0, q * (I12 - m * I1))
-    set_pair(0, 0, 2, 2, q * (k2 * I13 - m * I1))
-    set_pair(1, 1, 2, 2, q * (k2 * I13 - m * I1))
-    set_pair(2, 2, 0, 0, q * (I13 - m * I3))
-    set_pair(2, 2, 1, 1, q * (I13 - m * I3))
-    set_pair(0, 1, 0, 1, q * (I12 + m * I1))
-    set_pair(0, 2, 0, 2, 0.5 * q * ((1.0 + k2) * I13 + m * (I1 + I3)))
-    set_pair(1, 2, 1, 2, 0.5 * q * ((1.0 + k2) * I13 + m * (I1 + I3)))
-    return tensors.full_to_strain_map(S)
+        V[0, 0] = V[1, 1] = q * (3.0 * I11 + m * I1)
+        V[2, 2] = q * (3.0 * k2 * I33 + m * I3)
+        V[0, 1] = V[1, 0] = q * (I12 - m * I1)
+        V[0, 2] = V[1, 2] = q * (k2 * I13 - m * I1)
+        V[2, 0] = V[2, 1] = q * (I13 - m * I3)
+        V[5, 5] = q * (I12 + m * I1)
+        V[3, 3] = V[4, 4] = 0.5 * q * ((1.0 + k2) * I13 + m * (I1 + I3))
+    return tensors.full_to_strain_map(tensors.stiffness_to_full(V))
 
 
 def dilute_concentration(C_incl, C_m, S):
@@ -141,7 +126,14 @@ def dilute_concentration(C_incl, C_m, S):
 
 
 def _phases_match(C_a, C_b):
-    return np.allclose(C_a, C_b, rtol=1e-12, atol=1e-12 * np.linalg.norm(C_b))
+    """np.allclose(C_a, C_b, rtol=1e-12, atol=1e-12 ||C_b||), written out.
+
+    |a - b| <= atol + rtol |b| entrywise; a non-finite entry in either
+    matrix never matches.
+    """
+    atol = 1e-12 * np.linalg.norm(C_b)
+    return bool(math.isfinite(atol) and np.all(
+        np.abs(C_a - C_b) <= atol + 1e-12 * np.abs(C_b)))
 
 
 def effective_stiffness(spec):

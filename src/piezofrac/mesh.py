@@ -248,10 +248,25 @@ def write_vtk(path, mesh, point_data=None, cell_data=None):
     """VTK legacy ASCII unstructured grid of the active elements.
 
     point_data: {name: (n_nodes,) or (n_nodes, k) array} written as
-    SCALARS/VECTORS; cell_data likewise over active elements.
+    SCALARS/VECTORS; cell_data likewise over active elements.  A field
+    with another row count raises ValueError before the file is opened.
     """
     elems = mesh.elems[mesh.active]
     nodes = mesh.nodes
+
+    def checked(kind, data, n, per):
+        out = {}
+        for name, arr in (data or {}).items():
+            arr = np.asarray(arr, dtype=float)
+            length = len(arr) if arr.ndim else 0
+            if length != n:
+                raise ValueError(f"{kind} {name!r} has length {length}, "
+                                 f"expected {n} (one row per {per})")
+            out[name] = arr
+        return out
+
+    point_data = checked("point_data", point_data, len(nodes), "node")
+    cell_data = checked("cell_data", cell_data, len(elems), "active element")
 
     def rows(fmt, arr):
         return (fmt * len(arr)) % tuple(arr.ravel().tolist())
@@ -275,7 +290,6 @@ def write_vtk(path, mesh, point_data=None, cell_data=None):
 
         def write_arrays(data, n):
             for name, arr in data.items():
-                arr = np.asarray(arr, dtype=float)
                 if arr.ndim == 1:
                     f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
                     f.write(rows("%.9g\n", arr) or "\n")

@@ -9,6 +9,11 @@ stiffness-like maps (strain -> stress) and concentration-like maps
 
 Voigt ordering: 11, 22, 33, 23, 13, 12.
 
+The four Voigt <-> full conversions are each one fancy-index gather
+(and, for strain maps, one multiply) through read-only module tables
+built at import: the slot of each index pair, the pair of each slot,
+and the shear-row factors of the strain-map convention.
+
 The uniform orientation average of a rank-4 tensor is computed in
 closed form, as its isotropic projection (`isotropic_projection`).  For
 a tensor that is transversely isotropic about the fiber axis, spinning
@@ -33,26 +38,41 @@ _K = 0.5 * (np.einsum("ik,jl->ijkl", _DELTA, _DELTA)
             + np.einsum("il,jk->ijkl", _DELTA, _DELTA)) - _J
 
 
+def _voigt_tables():
+    """Fancy indices and row factors of the Voigt <-> full conversions.
+
+    slot[i, j] is the Voigt slot of the index pair (i, j) in either
+    order, and (pair_i[I], pair_j[I]) the pair of slot I.  Returns the
+    index that gathers a 6x6 matrix into the 3x3x3x3 tensor, the index
+    that picks the matrix back out of the tensor, and the shear-row
+    factors of the strain-map conversions: 1/2 toward the tensor (over
+    the output pair (i, j)) and 2 toward the matrix.  All arrays are
+    read-only.
+    """
+    slot = np.empty((3, 3), dtype=np.intp)
+    for I, (i, j) in enumerate(VOIGT_PAIRS):
+        slot[i, j] = slot[j, i] = I
+    pair_i, pair_j = (np.array(t, dtype=np.intp) for t in zip(*VOIGT_PAIRS))
+    normal = np.arange(6) < 3
+    to_full = (slot[:, :, None, None], slot)
+    from_full = (pair_i[:, None], pair_j[:, None], pair_i, pair_j)
+    half = np.where(normal, 1.0, 0.5)[slot][:, :, None, None]
+    double = np.where(normal, 1.0, 2.0)[:, None]
+    for a in to_full + from_full + (half, double):
+        a.flags.writeable = False
+    return to_full, from_full, half, double
+
+
+_TO_FULL, _FROM_FULL, _HALF_SHEAR_IJ, _DOUBLE_SHEAR_ROWS = _voigt_tables()
+
+
 def stiffness_to_full(C):
     """6x6 stiffness -> full C_ijkl (both minor symmetries restored)."""
-    C = np.asarray(C, dtype=float)
-    out = np.empty((3, 3, 3, 3))
-    for I, (i, j) in enumerate(VOIGT_PAIRS):
-        for J, (k, l) in enumerate(VOIGT_PAIRS):
-            out[i, j, k, l] = C[I, J]
-            out[j, i, k, l] = C[I, J]
-            out[i, j, l, k] = C[I, J]
-            out[j, i, l, k] = C[I, J]
-    return out
+    return np.asarray(C, dtype=float)[_TO_FULL]
 
 
 def full_to_stiffness(T):
-    T = np.asarray(T, dtype=float)
-    out = np.empty((6, 6))
-    for I, (i, j) in enumerate(VOIGT_PAIRS):
-        for J, (k, l) in enumerate(VOIGT_PAIRS):
-            out[I, J] = T[i, j, k, l]
-    return out
+    return np.asarray(T, dtype=float)[_FROM_FULL]
 
 
 def strain_map_to_full(A):
@@ -62,27 +82,11 @@ def strain_map_to_full(A):
     tensor entry is half the stored value there; columns already absorb
     the input's engineering factor.
     """
-    A = np.asarray(A, dtype=float)
-    out = np.empty((3, 3, 3, 3))
-    for I, (i, j) in enumerate(VOIGT_PAIRS):
-        rf = 1.0 if I < 3 else 0.5
-        for J, (k, l) in enumerate(VOIGT_PAIRS):
-            v = rf * A[I, J]
-            out[i, j, k, l] = v
-            out[j, i, k, l] = v
-            out[i, j, l, k] = v
-            out[j, i, l, k] = v
-    return out
+    return _HALF_SHEAR_IJ * np.asarray(A, dtype=float)[_TO_FULL]
 
 
 def full_to_strain_map(T):
-    T = np.asarray(T, dtype=float)
-    out = np.empty((6, 6))
-    for I, (i, j) in enumerate(VOIGT_PAIRS):
-        rf = 1.0 if I < 3 else 2.0
-        for J, (k, l) in enumerate(VOIGT_PAIRS):
-            out[I, J] = rf * T[i, j, k, l]
-    return out
+    return _DOUBLE_SHEAR_ROWS * np.asarray(T, dtype=float)[_FROM_FULL]
 
 
 def isotropic_stiffness(E, nu):

@@ -155,6 +155,44 @@ def test_dilute_concentration_approaches_identity_at_low_contrast():
     assert np.allclose(A, np.eye(6), atol=1e-3)
 
 
+def _phase_pairs():
+    """Named (C_a, C_b) pairs: equal, within and just outside the
+    tolerance, a sign flip, NaN on either side or an infinity in C_b
+    only, and a zero matrix."""
+    C = tensors.isotropic_stiffness(2.5e9, 0.28)
+    tol = 1e-12 * np.linalg.norm(C)
+    near, far, flip, nan, inf = (C.copy() for _ in range(5))
+    near[0, 1] += 0.5 * tol
+    far[0, 1] += 3.0 * tol
+    flip[3, 3] = -flip[3, 3]
+    nan[2, 2] = np.nan
+    inf[4, 4] = np.inf
+    zero = np.zeros((6, 6))
+    return {"equal": (C, C.copy()), "near": (near, C), "near_b": (C, near),
+            "far": (far, C), "far_b": (C, far),
+            "scaled_in": (C * (1.0 + 1e-13), C),
+            "scaled_out": (C * (1.0 + 1e-11), C), "flip": (flip, C),
+            "nan_a": (nan, C), "nan_b": (C, nan), "nan_both": (nan, nan),
+            "inf_b": (C, inf),
+            "zeros": (zero, zero), "zero_b": (C, zero), "zero_a": (zero, C)}
+
+
+@pytest.mark.filterwarnings("ignore:One of rtol or atol:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(_phase_pairs()))
+def test_phases_match_agrees_with_allclose(name):
+    C_a, C_b = _phase_pairs()[name]
+    want = np.allclose(C_a, C_b, rtol=1e-12,
+                       atol=1e-12 * np.linalg.norm(C_b))
+    assert elastic._phases_match(C_a, C_b) is bool(want)
+
+
+def test_phases_match_needs_finite_entries():
+    """Unlike np.allclose, equal infinities do not match."""
+    C = tensors.isotropic_stiffness(2.5e9, 0.28)
+    C[4, 4] = np.inf
+    assert not elastic._phases_match(C, C.copy())
+
+
 # ---------------------------------------------------- effective stiffness
 
 

@@ -241,6 +241,25 @@ def test_vtk_writer_golden_file(tmp_path):
                     "SCALARS d double 1\nLOOKUP_TABLE default\n\n")
 
 
+def test_vtk_writer_rejects_wrong_lengths_before_writing(tmp_path):
+    path = tmp_path / "bad.vtk"
+    m = meshing.structured_mesh((1, 1), (1, 1))
+    with pytest.raises(ValueError, match=r"point_data 'phi' has length 3, "
+                                         r"expected 4"):
+        meshing.write_vtk(path, m, point_data={"phi": np.arange(3.0)})
+    assert not path.exists()
+
+    m = meshing.structured_mesh((2.0, 1.0), (2, 1))
+    m.active[1] = False
+    with pytest.raises(ValueError, match=r"cell_data 'd' has length 2, "
+                                         r"expected 1"):
+        meshing.write_vtk(path, m, point_data={"phi": np.zeros(6)},
+                          cell_data={"d": np.zeros(2)})
+    with pytest.raises(ValueError, match=r"point_data 'u' has length 5"):
+        meshing.write_vtk(path, m, point_data={"u": np.zeros((5, 2))})
+    assert not path.exists()
+
+
 def test_active_nodes_tracks_carving():
     m = meshing.structured_mesh((1.0, 1.0), (4, 4))
     assert m.active_nodes().all()

@@ -64,6 +64,75 @@ def test_voigt_pairs_ordering():
     assert tensors.VOIGT_PAIRS == ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 
 
+def _loop_to_full(M, shear_factor):
+    """6x6 -> 3x3x3x3 by a double loop over the Voigt slots; the rows of
+    the three shear slots are scaled by shear_factor."""
+    out = np.empty((3, 3, 3, 3))
+    for I, (i, j) in enumerate(tensors.VOIGT_PAIRS):
+        rf = 1.0 if I < 3 else shear_factor
+        for J, (k, l) in enumerate(tensors.VOIGT_PAIRS):
+            v = rf * M[I, J]
+            out[i, j, k, l] = v
+            out[j, i, k, l] = v
+            out[i, j, l, k] = v
+            out[j, i, l, k] = v
+    return out
+
+
+def _loop_from_full(T, shear_factor):
+    """3x3x3x3 -> 6x6 by a double loop; shear rows scaled by
+    shear_factor."""
+    out = np.empty((6, 6))
+    for I, (i, j) in enumerate(tensors.VOIGT_PAIRS):
+        rf = 1.0 if I < 3 else shear_factor
+        for J, (k, l) in enumerate(tensors.VOIGT_PAIRS):
+            out[I, J] = rf * T[i, j, k, l]
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_conversions_equal_loop_reference(seed):
+    """The index-table gathers reproduce the loop conversions bit for
+    bit, on a stiffness, a non-symmetric strain map, an arbitrary 6x6
+    matrix and an arbitrary (no symmetry at all) 3x3x3x3 array."""
+    rng = _rng(100 + seed)
+    A = _random_strain_map(rng)
+    assert not np.allclose(A, A.T)
+    mats = [_random_stiffness(rng), A,
+            rng.normal(size=(6, 6)) * 10.0 ** rng.integers(-200, 200, (6, 6))]
+    for M in mats:
+        assert np.array_equal(tensors.stiffness_to_full(M),
+                              _loop_to_full(M, 1.0))
+        assert np.array_equal(tensors.strain_map_to_full(M),
+                              _loop_to_full(M, 0.5))
+    for T in (rng.normal(size=(3, 3, 3, 3)), tensors.strain_map_to_full(A)):
+        assert np.array_equal(tensors.full_to_stiffness(T),
+                              _loop_from_full(T, 1.0))
+        assert np.array_equal(tensors.full_to_strain_map(T),
+                              _loop_from_full(T, 2.0))
+
+
+def test_conversions_accept_lists_and_keep_nonfinite_entries():
+    M = np.arange(36.0).reshape(6, 6)
+    M[0, 1], M[3, 4], M[5, 5] = np.nan, np.inf, 5e-324
+    assert np.array_equal(tensors.stiffness_to_full(M.tolist()),
+                          _loop_to_full(M, 1.0), equal_nan=True)
+    assert np.array_equal(tensors.strain_map_to_full(M),
+                          _loop_to_full(M, 0.5), equal_nan=True)
+    T = tensors.stiffness_to_full(M)
+    assert np.array_equal(tensors.full_to_strain_map(T),
+                          _loop_from_full(T, 2.0), equal_nan=True)
+
+
+def test_voigt_index_tables_are_read_only():
+    tables = [*tensors._TO_FULL, *tensors._FROM_FULL,
+              tensors._HALF_SHEAR_IJ, tensors._DOUBLE_SHEAR_ROWS]
+    for arr in tables:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
+
+
 def test_energy_consistency_of_voigt_convention():
     """eps : C : eps must equal the Voigt quadratic form with engineering
     shears."""
