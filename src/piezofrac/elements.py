@@ -123,22 +123,25 @@ class DofMap:
     """Global DOF layout: displacement block, potential block, damage block.
 
     DOFs are grouped by field so the solver can slice residuals and
-    factor per-block operators directly.  Nodes not referenced by any
-    active element carry no unknowns.
+    factor per-block operators directly; `slices` holds the three block
+    slices in that order and `split` applies them.  Nodes not
+    referenced by any active element carry no unknowns.
     """
 
     def __init__(self, mesh):
         self.dim = mesh.dim
-        self.n_nodes = mesh.n_nodes
-        n = mesh.n_nodes
-        self.n_u = n * self.dim
-        self.off_phi = self.n_u
-        self.off_d = self.n_u + n
-        self.ndof = self.n_u + 2 * n
-        self.active_node = mesh.active_nodes()
-        act = np.repeat(self.active_node, self.dim)
-        self.active_dof = np.concatenate(
-            [act, self.active_node, self.active_node])
+        self.n_nodes = n = mesh.n_nodes
+        self.off_phi = n * self.dim
+        self.off_d = self.off_phi + n
+        self.ndof = self.off_d + n
+        self.slices = (slice(0, self.off_phi), slice(self.off_phi, self.off_d),
+                       slice(self.off_d, self.ndof))
+        live = mesh.active_nodes()
+        self.active_dof = np.concatenate([np.repeat(live, self.dim), live, live])
+
+    def split(self, x):
+        """Views (u, phi, d) of a full DOF vector's three blocks."""
+        return tuple(x[sl] for sl in self.slices)
 
     def u_dofs(self, nodes, component=None):
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -179,6 +182,10 @@ class Constraints:
 
     def group_dofs(self, name):
         return self._groups[name][0]
+
+    def value(self, name):
+        """Prescribed value of a group (its DOFs take pattern * value)."""
+        return self._groups[name][2]
 
     def build(self):
         """(fixed_dofs, fixed_values, free_dofs) with duplicates rejected."""

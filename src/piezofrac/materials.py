@@ -83,11 +83,15 @@ class EffectiveProperties:
     E: float        # Young's modulus, Pa
     nu: float       # Poisson ratio
     Gc: float       # critical energy release rate, J/m^2
-    sigma0: float   # virgin conductivity, S/m
     rho0: float     # virgin resistivity, ohm m
     lam11: float    # axial piezoresistive sensitivity
     lam12: float    # transverse piezoresistive sensitivity
     f_c: float      # percolation onset volume fraction
+
+    @property
+    def sigma0(self):
+        """Virgin conductivity, S/m."""
+        return 1.0 / self.rho0
 
 
 @lru_cache(maxsize=32)
@@ -101,9 +105,13 @@ def derive_properties(spec):
     else:
         f_c = float("nan")
         rho0, l11, l12 = 1.0 / spec.sigma_m, 0.0, 0.0
-    return EffectiveProperties(E=E, nu=nu, Gc=Gc, sigma0=1.0 / rho0, rho0=rho0,
-                               lam11=l11, lam12=l12, f_c=f_c)
+    return EffectiveProperties(E=E, nu=nu, Gc=Gc, rho0=rho0, lam11=l11,
+                               lam12=l12, f_c=f_c)
 
+
+# filler and matrix mass densities of the preset systems, kg/m^3
+PRESET_DENSITIES = {"mwcnt_epoxy": (1350.0, 1150.0),
+                    "dwcnt_epoxy": (1350.0, 1150.0)}
 
 # reference parameter cards: a bulk structural MWCNT/epoxy system and the
 # DWCNT/epoxy dog-bone coupon used for resistance validation
@@ -114,16 +122,12 @@ _PRESETS = {
         sigma_m=1.036e-10, d_c=0.22e-9, lambda_eV=0.69, G0=133.0,
         sigma_ult=35e9, tau_int=47e6),
     "dwcnt_epoxy": dict(
-        f_p0=mass_to_volume_fraction(0.005, 1350.0, 1150.0),
+        f_p0=mass_to_volume_fraction(0.005, *PRESET_DENSITIES["dwcnt_epoxy"]),
         L_cnt=5.39e-6, D_cnt=1.203e-9, E_cnt=950e9, nu_cnt=0.3,
         E_m=2.79e9, nu_m=0.285, E_i=2.24e9, t_i=31e-9, sigma_cnt=764.91,
         sigma_m=1e-12, d_c=2.739e-9, lambda_eV=1.93, G0=220.0,
         sigma_ult=120e9, tau_int=47e6),
 }
-
-# filler and matrix mass densities of the preset systems, kg/m^3
-PRESET_DENSITIES = {"mwcnt_epoxy": (1350.0, 1150.0),
-                    "dwcnt_epoxy": (1350.0, 1150.0)}
 
 
 def preset(name, **overrides):

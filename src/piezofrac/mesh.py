@@ -247,9 +247,10 @@ _VTK_CELL = {4: 9, 8: 12}  # quad, hexahedron
 def write_vtk(path, mesh, point_data=None, cell_data=None):
     """VTK legacy ASCII unstructured grid of the active elements.
 
-    point_data: {name: (n_nodes,) or (n_nodes, k) array} written as
+    point_data: {name: (n_nodes,) or (n_nodes, k <= 3) array} written as
     SCALARS/VECTORS; cell_data likewise over active elements.  A field
-    with another row count raises ValueError before the file is opened.
+    with another row count, more than 3 columns or more than 2
+    dimensions raises ValueError before the file is opened.
     """
     elems = mesh.elems[mesh.active]
     nodes = mesh.nodes
@@ -262,6 +263,9 @@ def write_vtk(path, mesh, point_data=None, cell_data=None):
             if length != n:
                 raise ValueError(f"{kind} {name!r} has length {length}, "
                                  f"expected {n} (one row per {per})")
+            if arr.ndim > 2 or (arr.ndim == 2 and arr.shape[1] > 3):
+                raise ValueError(f"{kind} {name!r} has shape {arr.shape}, "
+                                 f"expected ({n},) or ({n}, k) with k <= 3")
             out[name] = arr
         return out
 

@@ -19,34 +19,51 @@ from . import solver
 
 CURVE_HEADER = ["step", "u_applied (m)", "force (N)", "current (A)",
                 "R (Ω)", "ΔR/R0 (–)", "max d (–)"]
+SWEEP_HEADER = ["f_p", "AR", "E_eff", "G_c", "sigma_eff", "lambda11", "f_c"]
 
 
 @dataclass
 class CaseSetup:
-    """Everything run-ready for one scenario realization."""
+    """Everything run-ready for one scenario realization.
 
-    mesh: object
+    The mesh is `system.mesh`, the phase-field length `system.mat.ell`
+    and the applied voltage the "drive" group's value in `constraints`.
+    """
+
     system: object
     constraints: object
     load_values: np.ndarray
-    voltage: float
-    ell: float
     seed_ids: np.ndarray
 
 
 @dataclass
 class RunSummary:
-    status: str               # "ok" | "aborted"
+    status: str               # "ok" | "aborted" | "failed"
     reason: str
-    peak_force: float         # N
-    fracture_displacement: float   # m (nan if the run never fractured)
-    R0: float                 # ohm
-    I0: float                 # A
     wall_time: float          # s
     records: list
 
     def curve(self, name):
         return np.array([getattr(r, name) for r in self.records])
+
+    # the numbers below read nan when there are no records
+    @property
+    def peak_force(self):     # N
+        return float(max((r.force for r in self.records), default=math.nan))
+
+    @property
+    def fracture_displacement(self):
+        """m at electrical interruption (rel resistance > 1e3), else nan."""
+        return next((r.u_applied for r in self.records
+                     if r.rel_resistance > 1e3), math.nan)
+
+    @property
+    def R0(self):             # unstrained resistance, ohm
+        return self.records[0].resistance if self.records else math.nan
+
+    @property
+    def I0(self):             # unstrained current, A
+        return self.records[0].current if self.records else math.nan
 
 
 def build_mesh(sc, rng=None):
@@ -168,8 +185,7 @@ def build_case(sc, rng=None):
     con.fix("ground", dm.phi_dofs(face(el["ground_face"])))
 
     load = np.linspace(lo["u_max"] / lo["steps"], lo["u_max"], lo["steps"])
-    return CaseSetup(mesh=m, system=system, constraints=con,
-                     load_values=load, voltage=el["voltage"], ell=ell,
+    return CaseSetup(system=system, constraints=con, load_values=load,
                      seed_ids=seed_ids)
 
 
@@ -178,7 +194,8 @@ def initial_state(case, sc):
     system, pf = case.system, sc.phase_field
     state = system.empty_state()
     if case.seed_ids.size:
-        mag = pf["seed_magnitude"] * case.system.mat.Gc / (2.0 * case.ell)
+        mat = system.mat
+        mag = pf["seed_magnitude"] * mat.Gc / (2.0 * mat.ell)
         state.H = solver.seed_history(system, case.seed_ids, mag)
     return state
 
@@ -197,25 +214,14 @@ def write_curves(records, path):
                         f"{r.rel_resistance:.17g}", f"{r.max_d:.17g}"])
 
 
-def export_fields(m, dofmap, state, path):
+def export_fields(system, state, path):
     """VTK dump: point data u, phi, d and cell data H (mean over Gauss)."""
-    x = state.x
-    n = dofmap.n_nodes
-    dim = m.dim
-    u = x[:dofmap.off_phi].reshape(n, dim)
-    phi = x[dofmap.off_phi:dofmap.off_d]
-    d = x[dofmap.off_d:]
+    m = system.mesh
+    u, phi, d = system.dofmap.split(state.x)
     meshing.write_vtk(path, m,
-                      point_data={"u": u, "phi_e": phi, "d": d},
+                      point_data={"u": u.reshape(m.n_nodes, m.dim),
+                                  "phi_e": phi, "d": d},
                       cell_data={"H": state.H.mean(axis=1)})
-
-
-def _fracture_displacement(records):
-    """Displacement at electrical interruption (rel resistance > 1e3)."""
-    for r in records:
-        if r.rel_resistance > 1e3:
-            return r.u_applied
-    return math.nan
 
 
 def run_case(sc, out_dir=None, seed=None, tag=""):
@@ -237,27 +243,20 @@ def run_case(sc, out_dir=None, seed=None, tag=""):
         out.mkdir(parents=True, exist_ok=True)
         every = sc.output["vtk_every"]
         if every > 0:
-            dm = case.system.dofmap
-
             def observer(step, rec, st):
                 if step % every == 0:
-                    export_fields(case.mesh, dm, st,
+                    export_fields(case.system, st,
                                   out / f"{prefix}_{step:04d}.vtk")
 
     result = solver.run_load_program(
         case.system, case.constraints, ["pull"], list(case.load_values),
-        "drive", "ground", case.voltage,
-        max_cutbacks=sc.solver["max_cutbacks"], observer=observer,
-        initial=state0)
+        "drive", "ground", max_cutbacks=sc.solver["max_cutbacks"],
+        observer=observer, initial=state0)
 
     recs = result.records
     summary = RunSummary(
         status="aborted" if result.aborted else "ok",
         reason=result.abort_reason,
-        peak_force=float(max((r.force for r in recs), default=math.nan)),
-        fracture_displacement=_fracture_displacement(recs),
-        R0=recs[0].resistance if recs else math.nan,
-        I0=recs[0].current if recs else math.nan,
         wall_time=time.perf_counter() - t0,
         records=recs)
 
@@ -265,7 +264,7 @@ def run_case(sc, out_dir=None, seed=None, tag=""):
         write_curves(recs, out / f"{prefix}_curves.csv")
         write_summary(summary, sc, out / f"{prefix}_summary.txt")
         if sc.output["vtk_every"] > 0:
-            export_fields(case.mesh, case.system.dofmap, result.state,
+            export_fields(case.system, result.state,
                           out / f"{prefix}_final.vtk")
     return summary
 
@@ -305,8 +304,8 @@ def degradation_matrix(sc, out_dir=None):
 def property_sweep(spec, f_p_grid, ar_grid, path=None):
     """Homogenized properties over a filler-fraction x aspect-ratio grid.
 
-    Rows carry (f_p, AR, E_eff, G_c, sigma_eff, lambda11, f_c); the
-    returned flags report the expected monotone trends over the grid.
+    Rows are dicts keyed by SWEEP_HEADER; the returned flags report the
+    expected monotone trends over the grid.
     """
     f_p_grid = [float(f) for f in f_p_grid]
     ar_grid = [float(a) for a in ar_grid]
@@ -321,21 +320,16 @@ def property_sweep(spec, f_p_grid, ar_grid, path=None):
         s_ar = replace(base, L_cnt=ar * base.D_cnt)
         for f_p in f_p_grid:
             p = materials.derive_properties(s_ar.with_filler(f_p))
-            rows.append(dict(f_p=f_p, AR=ar, E_eff=p.E, G_c=p.Gc,
-                             sigma_eff=p.sigma0, lambda11=p.lam11,
-                             f_c=p.f_c))
+            rows.append(dict(zip(SWEEP_HEADER, (f_p, ar, p.E, p.Gc, p.sigma0,
+                                                p.lam11, p.f_c))))
 
     flags = _sweep_flags(rows, f_p_grid, ar_grid)
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["f_p", "AR", "E_eff", "G_c", "sigma_eff",
-                        "lambda11", "f_c"])
+            w.writerow(SWEEP_HEADER)
             for r in rows:
-                w.writerow([f"{r['f_p']:.17g}", f"{r['AR']:.17g}",
-                            f"{r['E_eff']:.17g}", f"{r['G_c']:.17g}",
-                            f"{r['sigma_eff']:.17g}",
-                            f"{r['lambda11']:.17g}", f"{r['f_c']:.17g}"])
+                w.writerow([f"{r[c]:.17g}" for c in SWEEP_HEADER])
     return rows, flags
 
 
@@ -383,10 +377,8 @@ def monte_carlo(sc, replicates=None, out_dir=None):
         try:
             s = run_case(sc, out_dir=rep_dir, seed=[sc.mc["seed"], rep])
         except (ValueError, RuntimeError) as err:
-            s = RunSummary(status="failed", reason=str(err),
-                           peak_force=math.nan,
-                           fracture_displacement=math.nan, R0=math.nan,
-                           I0=math.nan, wall_time=0.0, records=[])
+            s = RunSummary(status="failed", reason=str(err), wall_time=0.0,
+                           records=[])
         summaries.append(s)
 
     frac = np.array([s.fracture_displacement for s in summaries

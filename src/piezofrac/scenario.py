@@ -249,12 +249,14 @@ def resolve_material(sc):
                               "E, nu, Gc, rho0, lam11, lam12")
         E, nu, Gc, rho0, l11, l12 = direct
         props = materials.EffectiveProperties(
-            E=E, nu=nu, Gc=Gc, sigma0=1.0 / rho0, rho0=rho0,
-            lam11=l11, lam12=l12, f_c=math.nan)
+            E=E, nu=nu, Gc=Gc, rho0=rho0, lam11=l11, lam12=l12, f_c=math.nan)
         return props, None
     over = {}
     if not math.isnan(m["mu_snub"]):
         over["mu_snub"] = m["mu_snub"]
+    if not (math.isnan(m["wt"]) or math.isnan(m["f_p"])):
+        raise SchemaError("material.wt and material.f_p both set the filler "
+                          "fraction; give one of them")
     if not math.isnan(m["wt"]):
         rho_f, rho_m = materials.PRESET_DENSITIES[m["preset"]]
         over["f_p0"] = materials.mass_to_volume_fraction(m["wt"], rho_f, rho_m)

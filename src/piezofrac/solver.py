@@ -107,13 +107,12 @@ class CoupledSystem:
         self.CB = np.einsum("KL,egLA->egKA", self.C, t.B)
         self.lam44 = 0.5 * (mat.lam11 - mat.lam12)
 
-        dim, dm = mesh.dim, self.dofmap
+        dim = mesh.dim
         self.edof_u = (t.conn[:, :, None] * dim
                        + np.arange(dim)[None, None, :]).reshape(len(t.conn), -1)
         # (element DOFs in block numbering, slice of x) per field block
-        self.blocks = ((self.edof_u, slice(0, dm.off_phi)),
-                       (t.conn, slice(dm.off_phi, dm.off_d)),
-                       (t.conn, slice(dm.off_d, dm.ndof)))
+        self.blocks = tuple(zip((self.edof_u, t.conn, t.conn),
+                                self.dofmap.slices))
 
     # ------------------------------------------------------------ fields
 
@@ -122,16 +121,9 @@ class CoupledSystem:
         return FieldState(np.zeros(self.dofmap.ndof),
                           np.zeros((t.n_elems, t.n_gauss)))
 
-    def split(self, x):
-        dm = self.dofmap
-        u = x[:dm.off_phi]
-        phi = x[dm.off_phi:dm.off_d]
-        d = x[dm.off_d:]
-        return u, phi, d
-
     def _gauss(self, x):
         t = self.tables
-        u, phi, d = self.split(x)
+        u, phi, d = self.dofmap.split(x)
         eps = np.einsum("egKA,eA->egK", t.B, u[self.edof_u])
         d_el = d[t.conn]
         d_gp = np.einsum("ga,ea->eg", t.N, d_el)
@@ -344,16 +336,17 @@ class RunResult:
 
 
 def run_load_program(system, constraints, load_groups, load_values,
-                     drive_group, ground_group, voltage, *,
+                     drive_group, ground_group, *,
                      max_cutbacks, observer=None, initial=None):
     """Displacement-controlled stepping with curve extraction.
 
     load_groups: constraint-group names scaled by each value of
     load_values (monotone program, starting point 0 is implied).
-    drive/ground groups name the electrode constraint groups; the
-    reaction force is summed over the first load group's DOFs.  An
-    observer(step, record, state) callback can dump fields.  A failed
-    step is retried at the midpoint of the increment; after
+    drive/ground groups name the electrode constraint groups: the
+    applied voltage is the drive group's value minus the ground
+    group's.  The reaction force is summed over the first load group's
+    DOFs.  An observer(step, record, state) callback can dump fields.
+    A failed step is retried at the midpoint of the increment; after
     `max_cutbacks` bisections of one target the run aborts and the last
     converged state is returned.
     """
@@ -361,19 +354,18 @@ def run_load_program(system, constraints, load_groups, load_values,
     load_dofs = constraints.group_dofs(load_groups[0])
     drive_dofs = constraints.group_dofs(drive_group)
     ground_dofs = constraints.group_dofs(ground_group)
+    voltage = constraints.value(drive_group) - constraints.value(ground_group)
 
     records = []
-    off_d = system.dofmap.off_d
 
     def solve_at(value, step_index, cutbacks):
         for g in load_groups:
             constraints.set_value(g, value)
         new, _ = solve_step(system, state, constraints,
-                            d_floor=state.x[off_d:])
+                            d_floor=system.dofmap.split(state.x)[2])
         R = system.residual(new.x, new.H)
-        rec = _make_record(system, new, R, value, step_index,
-                           load_dofs, drive_dofs, ground_dofs, voltage,
-                           cutbacks,
+        rec = _make_record(system, new, R, value, step_index, load_dofs,
+                           drive_dofs, ground_dofs, voltage, cutbacks,
                            records[0].resistance if records else None)
         advance_history(system, new)
         return rec, new
@@ -413,13 +405,11 @@ def run_load_program(system, constraints, load_groups, load_values,
 
 def _make_record(system, state, R, value, step, load_dofs,
                  drive_dofs, ground_dofs, voltage, cutbacks, r0):
-    dm = system.dofmap
-    phi_rows = R[dm.off_phi:dm.off_d]
-    i_drive = float(np.sum(phi_rows[np.asarray(drive_dofs) - dm.off_phi]))
-    i_ground = float(np.sum(phi_rows[np.asarray(ground_dofs) - dm.off_phi]))
+    i_drive = float(np.sum(R[drive_dofs]))
+    i_ground = float(np.sum(R[ground_dofs]))
     current = max(abs(i_drive), abs(i_ground))
     mismatch = abs(i_drive + i_ground) / max(current, 1e-300)
-    force = float(np.sum(R[np.asarray(load_dofs)]))
+    force = float(np.sum(R[load_dofs]))
     resistance = abs(voltage) / current if current > 0.0 else math.inf
     if r0 is None or r0 == 0.0 or not math.isfinite(r0):
         rel = 0.0
@@ -427,7 +417,7 @@ def _make_record(system, state, R, value, step, load_dofs,
         rel = math.inf
     else:
         rel = (resistance - r0) / r0
-    d = state.x[dm.off_d:]
+    d = system.dofmap.split(state.x)[2]
     return StepRecord(step=step, u_applied=float(value), force=force,
                       current=current, resistance=resistance,
                       rel_resistance=rel, max_d=float(d.max()) if d.size else 0.0,

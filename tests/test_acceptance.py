@@ -65,7 +65,7 @@ def cylinder_run():
     rng = np.random.default_rng(sc.mc["seed"])
     case = runner.build_case(sc, rng)
     dm = case.system.dofmap
-    live = case.mesh.active_nodes()
+    live = case.system.mesh.active_nodes()
     hot = []
 
     def observer(step, rec, st):
@@ -74,9 +74,8 @@ def cylinder_run():
 
     result = solver.run_load_program(
         case.system, case.constraints, ["pull"], list(case.load_values),
-        "drive", "ground", case.voltage,
-        max_cutbacks=sc.solver["max_cutbacks"], observer=observer,
-        initial=runner.initial_state(case, sc))
+        "drive", "ground", max_cutbacks=sc.solver["max_cutbacks"],
+        observer=observer, initial=runner.initial_state(case, sc))
     return case, result, hot
 
 
@@ -316,11 +315,11 @@ def test_11_degradation_function_values():
 def test_12_cylinder_nucleation_to_interruption(cylinder_run):
     case, result, hot = cylinder_run
     ndof = case.system.dofmap.ndof
-    live_nodes = int(case.mesh.active_nodes().sum())
+    live_nodes = int(case.system.mesh.active_nodes().sum())
     rel = np.array([r.rel_resistance for r in result.records])
     dm = case.system.dofmap
     d_end = result.state.x[dm.off_d:]
-    seeded = np.unique(case.mesh.elems[case.seed_ids])
+    seeded = np.unique(case.system.mesh.elems[case.seed_ids])
     nucleated = 0 < hot[0] < 0.2 * live_nodes
     at_seeds = float(np.mean(d_end[seeded])) > 0.5
     grows = hot[-1] > hot[0] and all(b >= a for a, b in zip(hot, hot[1:]))

@@ -97,6 +97,14 @@ def test_dofmap_layout():
     assert np.array_equal(dm.u_dofs(nodes, 1), [1, 11])
     assert np.array_equal(dm.u_dofs(nodes).ravel(), [0, 1, 10, 11])
     assert np.array_equal(dm.phi_dofs(nodes), [2 * n, 2 * n + 5])
+    assert dm.slices == (slice(0, 2 * n), slice(2 * n, 3 * n),
+                         slice(3 * n, 4 * n))
+    x = np.arange(float(dm.ndof))
+    u, phi, d = dm.split(x)
+    assert np.array_equal(np.concatenate([u, phi, d]), x)
+    assert (u.size, phi.size, d.size) == (2 * n, n, n)
+    d[0] = -1.0                       # views, not copies
+    assert x[3 * n] == -1.0
 
 
 def test_constraints_build_and_rescale():

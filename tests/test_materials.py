@@ -200,8 +200,14 @@ def test_props_verb_matches_golden_table(tmp_path, capsys):
                         [w[c] for w in _SWEEP_ROWS])
 
 
+# the cards' filler volume fractions; dwcnt_epoxy's is 0.5 wt% converted
+# with its PRESET_DENSITIES entry
+_PRESET_F_P0 = {"mwcnt_epoxy": 0.01, "dwcnt_epoxy": 0.0042624166048925135}
+
+
 @pytest.mark.parametrize("name", sorted(_PRESET_PROPERTIES))
 def test_preset_properties_match_golden_values(name):
+    assert preset(name).f_p0 == _PRESET_F_P0[name]
     got = derive_properties(preset(name))
     for field, want in _PRESET_PROPERTIES[name].items():
         _assert_matches(f"{name}.{field}", [getattr(got, field)], [want])

@@ -259,6 +259,19 @@ def test_vtk_writer_rejects_wrong_lengths_before_writing(tmp_path):
         meshing.write_vtk(path, m, point_data={"u": np.zeros((5, 2))})
     assert not path.exists()
 
+    m = meshing.structured_mesh((1, 1), (1, 1))
+    with pytest.raises(ValueError, match=r"point_data 'u' has shape "
+                                         r"\(4, 4\), expected \(4,\) or "
+                                         r"\(4, k\) with k <= 3"):
+        meshing.write_vtk(path, m, point_data={"u": np.zeros((4, 4))})
+    with pytest.raises(ValueError, match=r"point_data 'u' has shape "
+                                         r"\(4, 3, 1\)"):
+        meshing.write_vtk(path, m, point_data={"u": np.zeros((4, 3, 1))})
+    with pytest.raises(ValueError, match=r"cell_data 'H' has shape "
+                                         r"\(1, 2, 2\)"):
+        meshing.write_vtk(path, m, cell_data={"H": np.zeros((1, 2, 2))})
+    assert not path.exists()
+
 
 def test_active_nodes_tracks_carving():
     m = meshing.structured_mesh((1.0, 1.0), (4, 4))

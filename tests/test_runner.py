@@ -248,6 +248,36 @@ def test_monte_carlo_survives_failed_replicate(tmp_path):
     assert all("definiteness" in r["reason"] for r in rows)
 
 
+def test_monte_carlo_records_raising_replicate(tmp_path, monkeypatch):
+    # an expected error inside one replicate is recorded as "failed"
+    # with its reason and nan numbers, and the ensemble runs on
+    sc = scenario.parse_text(CRACKING, "cracking").replace("mc", seed=3)
+    real = runner.run_case
+
+    def flaky(sc, out_dir=None, seed=None, tag=""):
+        if seed[1] == 0:
+            raise ValueError("replicate 0 mesh came apart")
+        return real(sc, out_dir=out_dir, seed=seed, tag=tag)
+
+    monkeypatch.setattr(runner, "run_case", flaky)
+    summaries, (edges, counts) = runner.monte_carlo(
+        sc, replicates=2, out_dir=tmp_path)
+    assert [s.status for s in summaries] == ["failed", "ok"]
+    failed = summaries[0]
+    assert failed.reason == "replicate 0 mesh came apart"
+    assert failed.records == [] and failed.wall_time == 0.0
+    for value in (failed.peak_force, failed.fracture_displacement,
+                  failed.R0, failed.I0):
+        assert math.isnan(value)
+    assert counts.sum() == 1             # only the finished replicate
+    lines = (tmp_path / "ensemble.csv").read_text(
+        encoding="utf-8").splitlines()
+    assert lines[1] == "0,failed,nan,nan,nan,replicate 0 mesh came apart"
+    assert lines[2].startswith("1,ok,")
+    assert not (tmp_path / "rep_000").exists()
+    assert (tmp_path / "rep_001" / "case_curves.csv").exists()
+
+
 def test_monte_carlo_propagates_programming_errors(monkeypatch):
     sc = scenario.parse_text(DOOMED, "doomed")
 
@@ -301,7 +331,7 @@ def test_holed_plate_cracks_in_stages():
     sc = scenario.canned("holes").replace("geometry", nx=20, ny=40)
     sc = sc.replace("loading", steps=30)
     case = runner.build_case(sc)
-    m = case.mesh
+    m = case.system.mesh
     dm = case.system.dofmap
     rim = np.array(sorted(set(m.elems[m.active].ravel())
                           & set(m.elems[~m.active].ravel())))
@@ -316,9 +346,8 @@ def test_holed_plate_cracks_in_stages():
 
     res = solver.run_load_program(
         case.system, case.constraints, ["pull"], list(case.load_values),
-        "drive", "ground", case.voltage,
-        max_cutbacks=sc.solver["max_cutbacks"], observer=obs,
-        initial=runner.initial_state(case, sc))
+        "drive", "ground", max_cutbacks=sc.solver["max_cutbacks"],
+        observer=obs, initial=runner.initial_state(case, sc))
     assert not res.aborted
     assert touch and sever
     assert touch[0] < sever[0]

@@ -153,6 +153,14 @@ def test_resolve_weight_fraction_converts():
     assert spec.f_p0 == pytest.approx(want, rel=1e-12)
 
 
+def test_resolve_weight_and_volume_fraction_exclude_each_other():
+    sc = scenario.parse_text("[material]\npreset = dwcnt_epoxy\n"
+                             "wt = 0.005\nf_p = 0.02\n", "f")
+    with pytest.raises(scenario.SchemaError,
+                       match=r"material\.wt and material\.f_p"):
+        scenario.resolve_material(sc)
+
+
 def test_canned_scenarios_all_valid(tmp_path):
     names = scenario.canned_names()
     assert {"validation", "plate", "plate_fp4", "holes", "defects",

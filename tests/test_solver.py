@@ -353,7 +353,7 @@ def test_step_independent_of_start():
     a, _ = solver.solve_step(sys_, cold, con)
     for start in (warm, strained):
         b, _ = solver.solve_step(sys_, start, con)
-        for xa, xb in zip(sys_.split(a.x), sys_.split(b.x)):
+        for xa, xb in zip(sys_.dofmap.split(a.x), sys_.dofmap.split(b.x)):
             assert np.linalg.norm(xa - xb) <= 1e-10 * np.linalg.norm(xa)
 
 
@@ -367,7 +367,7 @@ def test_charge_conservation_under_strain():
     con.fix("drive", dm.phi_dofs(m.set_nodes("xmin")), value=1.7e-3)
     con.fix("ground", dm.phi_dofs(m.set_nodes("xmax")))
     res = solver.run_load_program(sys_, con, ["pull"], [1e-5, 2e-5, 3e-5],
-                                  "drive", "ground", 1.7e-3, max_cutbacks=10)
+                                  "drive", "ground", max_cutbacks=10)
     assert not res.aborted
     for r in res.records:
         assert r.charge_mismatch < 1e-12
@@ -385,7 +385,7 @@ def test_resistance_matches_analytic_baseline():
     con.fix("drive", dm.phi_dofs(m.set_nodes("xmin")), value=1.7e-3)
     con.fix("ground", dm.phi_dofs(m.set_nodes("xmax")))
     res = solver.run_load_program(sys_, con, ["pull"], [1e-6],
-                                  "drive", "ground", 1.7e-3, max_cutbacks=10)
+                                  "drive", "ground", max_cutbacks=10)
     want = mat.rho0 * 0.05 / (0.013 * 0.005)
     got = res.records[0].resistance * (1.0 + mat.eps_reg)
     assert abs(got - want) / want < 1e-9
@@ -406,13 +406,34 @@ def test_gauge_response_positive_slope():
     con.fix("drive", dm.phi_dofs(m.set_nodes("xmin")), value=1.7e-3)
     con.fix("ground", dm.phi_dofs(m.set_nodes("xmax")))
     res = solver.run_load_program(sys_, con, ["pull"], [5e-6, 1e-5],
-                                  "drive", "ground", 1.7e-3, max_cutbacks=10)
+                                  "drive", "ground", max_cutbacks=10)
     rel = res.curve("rel_resistance")
     assert rel[0] == 0.0
     assert np.all(np.diff(rel) > 0.0)
     gf = rel[-1] / (1e-5 / 0.05)
     want = mat.lam11 - MAT["nu"] * mat.lam12
     assert 0.5 * want < gf < 2.0 * want
+
+
+@pytest.mark.parametrize("drive, ground", [(2.5, 0.0), (3.0, 0.5)])
+def test_voltage_read_from_electrode_groups(drive, ground):
+    # the applied voltage is the drive group's value minus the ground
+    # group's; no voltage is passed to the load program
+    m = meshing.structured_mesh((0.05, 0.013), (8, 3), thickness=0.005)
+    sys_ = solver.CoupledSystem(m, _mat())
+    dm = sys_.dofmap
+    con = elements.Constraints(dm)
+    con.fix("grip", dm.u_dofs(m.set_nodes("xmin")).ravel())
+    con.fix("pull", dm.u_dofs(m.set_nodes("xmax"), 0))
+    con.fix("drive", dm.phi_dofs(m.set_nodes("xmin")), value=drive)
+    con.fix("ground", dm.phi_dofs(m.set_nodes("xmax")), value=ground)
+    assert con.value("drive") - con.value("ground") == 2.5
+    res = solver.run_load_program(sys_, con, ["pull"], [1e-5, 2e-5],
+                                  "drive", "ground", max_cutbacks=10)
+    assert len(res.records) == 3
+    for r in res.records:
+        assert r.current > 0.0
+        assert r.resistance == 2.5 / r.current
 
 
 def test_zero_voltage_zero_current():
@@ -425,7 +446,7 @@ def test_zero_voltage_zero_current():
     con.fix("drive", dm.phi_dofs(m.set_nodes("xmin")), value=0.0)
     con.fix("ground", dm.phi_dofs(m.set_nodes("xmax")))
     res = solver.run_load_program(sys_, con, ["pull"], [1e-5, 2e-5],
-                                  "drive", "ground", 0.0, max_cutbacks=10)
+                                  "drive", "ground", max_cutbacks=10)
     assert np.all(res.curve("current") == 0.0)
     assert np.all(np.isinf(res.curve("resistance")))
 
@@ -445,7 +466,7 @@ def test_cutback_bisects_and_aborts_on_persistent_failure():
     con.fix("drive", dm.phi_dofs(m.set_nodes("xmin")), value=1.0)
     con.fix("ground", dm.phi_dofs(m.set_nodes("xmax")))
     res = solver.run_load_program(sys_, con, ["cx", "cy"], [-0.4],
-                                  "drive", "ground", 1.0, max_cutbacks=4)
+                                  "drive", "ground", max_cutbacks=4)
     assert res.aborted
     assert "definiteness" in res.abort_reason
     assert len(res.records) >= 1          # baseline survived
@@ -476,7 +497,7 @@ def test_record_counts_cutbacks(monkeypatch):
 
     monkeypatch.setattr(solver, "solve_step", flaky)
     res = solver.run_load_program(sys_, con, ["pull"], [1e-6, 2e-6],
-                                  "drive", "ground", 1.0, max_cutbacks=10)
+                                  "drive", "ground", max_cutbacks=10)
     assert not res.aborted
     assert [r.cutbacks for r in res.records] == [0, 1, 0]
     assert len(calls) == 5
@@ -493,8 +514,7 @@ def test_run_deterministic():
         con.fix("drive", dm.phi_dofs(m.set_nodes("xmin")), value=1.7e-3)
         con.fix("ground", dm.phi_dofs(m.set_nodes("xmax")))
         return solver.run_load_program(sys_, con, ["pull"], [1e-5, 2e-5],
-                                       "drive", "ground", 1.7e-3,
-                                       max_cutbacks=10)
+                                       "drive", "ground", max_cutbacks=10)
 
     a, b = run(), run()
     for ra, rb in zip(a.records, b.records):
