@@ -15,6 +15,11 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from . import mesh as meshing, runner, scenario as scen
+from .solver import StepFailure
+
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_SOLVER = 3
@@ -33,7 +38,7 @@ def _build_parser():
         q = sub.add_parser(verb, help=help_)
         q.add_argument("--scenario", default=None,
                        help="config path or canned:<name> "
-                            "(canned: %s)" % ", ".join(_canned_names()))
+                            "(canned: %s)" % ", ".join(scen.canned_names()))
         if verb != "props":
             q.add_argument("--seed", type=int, default=None,
                            help="RNG seed override")
@@ -47,17 +52,7 @@ def _build_parser():
     return p
 
 
-def _canned_names():
-    # deferred so --help works even without the heavy imports
-    try:
-        from . import scenario
-        return scenario.canned_names()
-    except Exception:
-        return ["..."]
-
-
 def _load_scenario(arg, seed):
-    from . import scenario as scen
     if arg is None:
         raise scen.SchemaError("this verb needs --scenario "
                                "(path or canned:<name>)")
@@ -73,7 +68,6 @@ def _load_scenario(arg, seed):
 
 
 def _cmd_props(args):
-    from . import runner, scenario as scen
     spec = None
     if args.scenario is not None:
         sc = _load_scenario(args.scenario, None)
@@ -95,7 +89,6 @@ def _cmd_props(args):
 
 
 def _cmd_run(args):
-    from . import runner
     sc = _load_scenario(args.scenario, args.seed)
     _log_defaults(sc)
     if sc.sweep["k_values"] or sc.sweep["n_values"]:
@@ -115,7 +108,6 @@ def _cmd_run(args):
 
 
 def _cmd_mc(args):
-    from . import runner
     sc = _load_scenario(args.scenario, args.seed)
     _log_defaults(sc)
     summaries, (edges, counts) = runner.monte_carlo(
@@ -129,9 +121,6 @@ def _cmd_mc(args):
 
 
 def _cmd_mesh(args):
-    import numpy as np
-
-    from . import mesh as meshing, runner
     sc = _load_scenario(args.scenario, args.seed)
     _log_defaults(sc)
     rng = np.random.default_rng(sc.mc["seed"])
@@ -164,12 +153,9 @@ def main(argv=None):
         # argparse exits 2 on bad flags, matching the schema-error code
         return int(err.code or 0)
     if getattr(args, "schema", False):
-        from . import scenario as scen
         print(scen.schema_reference())
         return EXIT_OK
 
-    from . import scenario as scen
-    from .solver import StepFailure
     handler = {"props": _cmd_props, "run": _cmd_run,
                "mc": _cmd_mc, "mesh": _cmd_mesh}[args.verb]
     try:

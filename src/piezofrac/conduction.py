@@ -11,10 +11,9 @@ the linearized piezoresistive coefficients used by the field solver.
 
 The orientation moment and the percolation-onset pair integral use
 fixed Gauss-Legendre rules.  Their nodes, weights and fixed trigonometric
-factors (for the moment rule, the sines and cosines of both node grids)
-are built once, at import, as read-only module arrays; an evaluation
-only computes the strained density on them, with `strained_odf`'s own
-expression.
+factors (among them the sines and cosines of both node grids) are built
+once, at import, as read-only module arrays; an evaluation only computes
+the strained density `_strained_density` on them.
 
 All inputs are SI except where an eV argument is named as such.
 """
@@ -87,25 +86,13 @@ class TunnelLayer(NamedTuple):
     sigma_int: float  # layer conductivity, S/m
 
 
-def interphase_layer(spec, channel, f_p=None, f_c=None):
-    """Tunneling layer dressing a fiber for one transport channel.
+def interphase_layer(spec, d_a):
+    """Tunneling layer of gap d_a dressing a fiber.
 
-    channel "EH" (hopping between isolated fibers) uses the cutoff
-    distance outright; channel "CN" (percolating network) shrinks it
-    with the filler excess over the onset and therefore requires
-    f_p > f_c.  The junction cross-section is the fiber's, pi D^2 / 4.
+    The layer is half the gap thick, and its conductivity is that of a
+    tunneling junction of gap d_a through the fiber's cross-section,
+    pi D^2 / 4.
     """
-    if channel == "EH":
-        d_a = spec.d_c
-    elif channel == "CN":
-        if f_p is None or f_c is None:
-            raise ValueError("CN channel needs f_p and f_c")
-        if f_p <= f_c:
-            raise ValueError(
-                f"no percolating network below onset (f_p={f_p}, f_c={f_c})")
-        d_a = spec.d_c * (f_c / f_p) ** (1.0 / 3.0)
-    else:
-        raise ValueError(f"unknown transport channel {channel!r}")
     area = math.pi * spec.D_cnt ** 2 / 4.0
     R = tunneling_resistance(d_a, spec.lambda_eV, area)
     return TunnelLayer(0.5 * d_a, d_a / (area * R))
@@ -139,22 +126,6 @@ def equivalent_cylinder(sigma_L, sigma_T, r, L, t, sigma_int):
     return sL, sT, mult
 
 
-def strained_odf(stretches):
-    """Fiber orientation density after affine reorientation.
-
-    stretches are the principal stretches along the (principal) axes;
-    the returned callable w(gamma1, gamma2) is relative to the uniform
-    density and reduces to 1 for the undeformed state.
-    """
-    l1, l2, l3 = _checked_stretches(stretches)
-
-    def w(g1, g2):
-        return _strained_density(l1, l2, l3, np.sin(g1), np.cos(g1),
-                                 np.sin(g2), np.cos(g2))
-
-    return w
-
-
 def _checked_stretches(stretches):
     l1, l2, l3 = (float(v) for v in stretches)
     if min(l1, l2, l3) <= 0.0:
@@ -163,7 +134,13 @@ def _checked_stretches(stretches):
 
 
 def _strained_density(l1, l2, l3, s1, c1, s2, c2):
-    """`strained_odf`'s density from the sines and cosines of its angles."""
+    """Fiber orientation density after affine reorientation.
+
+    l1, l2, l3 are the principal stretches along the (principal) axes,
+    and the density is evaluated at the angles (gamma1, gamma2) given
+    by their sines and cosines.  It is relative to the uniform density
+    and reduces to 1 for the undeformed state.
+    """
     num = (l1 * l2 * l3) ** 2
     den = (l1 * l1 * l2 * l2 * c2 * c2
            + l3 * l3 * (l1 * l1 * s1 * s1 + l2 * l2 * c1 * c1) * s2 * s2)
@@ -179,9 +156,9 @@ def _read_only(*arrays):
 def _onset_rule():
     """Nodes over [0, pi] and the fixed factors of the pair integral.
 
-    Returns g, the (g1, g2) node grids, sin(g), the product
-    cc[b, 0, d] = cos(g_b) cos(g_d), and the quadrature weights times
-    sin(g2).
+    Returns g, sin(g), the product cc[b, 0, d] = cos(g_b) cos(g_d),
+    the quadrature weights times sin(g2), and sin and cos of the
+    (g1, g2) node grids.
     """
     x, wq = np.polynomial.legendre.leggauss(_ONSET_ORDER)
     g = 0.5 * np.pi * (x + 1.0)
@@ -189,7 +166,8 @@ def _onset_rule():
     G1, G2 = np.meshgrid(g, g, indexing="ij")
     c, s = np.cos(g), np.sin(g)
     cc = c[:, None, None] * c[None, None, :]
-    return _read_only(g, G1, G2, s, cc, np.outer(w, w * s))
+    return _read_only(g, s, cc, np.outer(w, w * s), np.sin(G1), np.cos(G1),
+                      np.sin(G2), np.cos(G2))
 
 
 def _moment_rule():
@@ -212,8 +190,8 @@ def _moment_rule():
     return _read_only(s1, c1, s2, c2, np.outer(w1, w2 * np.sin(a2)), m)
 
 
-_ONSET_G, _ONSET_G1, _ONSET_G2, _ONSET_SIN, _ONSET_CC, _ONSET_AREA = \
-    _onset_rule()
+(_ONSET_G, _ONSET_SIN, _ONSET_CC, _ONSET_AREA, _ONSET_SIN1, _ONSET_COS1,
+ _ONSET_SIN2, _ONSET_COS2) = _onset_rule()
 (_MOMENT_SIN1, _MOMENT_COS1, _MOMENT_SIN2, _MOMENT_COS2, _MOMENT_WEIGHT,
  _MOMENT_AXES) = _moment_rule()
 
@@ -226,7 +204,8 @@ def _pair_integral(stretches):
     weight; the density is normalized over that domain.
     """
     g, s, cc = _ONSET_G, _ONSET_SIN, _ONSET_CC
-    dens = strained_odf(stretches)(_ONSET_G1, _ONSET_G2)  # over (g1, g2)
+    dens = _strained_density(*_checked_stretches(stretches), _ONSET_SIN1,
+                             _ONSET_COS1, _ONSET_SIN2, _ONSET_COS2)
     norm = float(np.sum(dens * _ONSET_AREA))
     wh = dens * _ONSET_AREA / norm          # normalized point masses
 
@@ -262,10 +241,14 @@ def _second_moment(stretches):
     return np.einsum("iab,jab,ab->ij", _MOMENT_AXES, _MOMENT_AXES, wt)
 
 
-def _channel_tensor(sig_L, sig_T, S11, S33, f_eff, sigma_m, M2):
-    """Orientation-averaged contribution f_eff (sigma - sigma_m I) A."""
+def _channel_tensor(sig_L, sig_T, S11, f_eff, sigma_m, M2):
+    """Orientation-averaged contribution f_eff (sigma - sigma_m I) A.
+
+    S11 is the transverse depolarization factor; the axial one is
+    1 - 2 S11.
+    """
     aT = 1.0 / (1.0 + S11 * (sig_T - sigma_m) / sigma_m)
-    aL = 1.0 / (1.0 + S33 * (sig_L - sigma_m) / sigma_m)
+    aL = 1.0 / (1.0 + (1.0 - 2.0 * S11) * (sig_L - sigma_m) / sigma_m)
     AT = aT / ((1.0 - f_eff) + f_eff * aT)
     AL = aL / ((1.0 - f_eff) + f_eff * aL)
     xT = f_eff * (sig_T - sigma_m) * AT
@@ -306,29 +289,22 @@ def effective_conductivity(spec, strain=None):
     deformed = strain is not None and bool(np.any(np.abs(lam - 1.0) > 1e-14))
     M2 = _second_moment(lam) if deformed else np.eye(3) / 3.0
 
-    r_fib = 0.5 * spec.D_cnt
-    L = spec.L_cnt
-
-    # hopping between isolated fibers
-    eh = interphase_layer(spec, "EH")
-    sL, sT, mult = equivalent_cylinder(
-        spec.sigma_cnt, spec.sigma_cnt, r_fib, L, eh.t, eh.sigma_int)
-    f_eff = mult * f_p
-    if f_eff >= 1.0:
-        raise ValueError(f"dressed filler fraction reaches {f_eff:.3f}")
-    S11 = eshelby_electrical(s)
-    out = (1.0 - xi) * _channel_tensor(
-        sL, sT, S11, 1.0 - 2.0 * S11, f_eff, sigma_m, M2)
-
-    # percolating network
+    # hopping between isolated fibers at the cutoff distance, and the
+    # percolating network, whose gap shrinks with the filler excess over
+    # the onset; each dressed fiber is replaced by a solid cylinder
+    channels = [(1.0 - xi, spec.d_c, eshelby_electrical(s))]
     if xi > 0.0:
-        cn = interphase_layer(spec, "CN", f_p=f_p, f_c=f_c)
+        channels.append((xi, spec.d_c * (f_c / f_p) ** (1.0 / 3.0), 0.5))
+    out = 0.0
+    for weight, gap, S11 in channels:
+        layer = interphase_layer(spec, gap)
         sL, sT, mult = equivalent_cylinder(
-            spec.sigma_cnt, spec.sigma_cnt, r_fib, L, cn.t, cn.sigma_int)
+            spec.sigma_cnt, spec.sigma_cnt, 0.5 * spec.D_cnt, spec.L_cnt,
+            layer.t, layer.sigma_int)
         f_eff = mult * f_p
         if f_eff >= 1.0:
             raise ValueError(f"dressed filler fraction reaches {f_eff:.3f}")
-        out = out + xi * _channel_tensor(sL, sT, 0.5, 0.0, f_eff, sigma_m, M2)
+        out = out + weight * _channel_tensor(sL, sT, S11, f_eff, sigma_m, M2)
 
     out = out + sigma_m * np.eye(3)
     out = V @ out @ V.T

@@ -9,17 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mesh import CORNER_OFFSETS
+from .tensors import VOIGT_PAIRS
+
 _G = 1.0 / np.sqrt(3.0)
 
 
 def _reference(dim):
     """Reference-element corner signs, Gauss points, and weights."""
-    if dim == 2:
-        corners = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
-    else:
-        corners = np.array([[-1, -1, -1], [1, -1, -1], [1, 1, -1], [-1, 1, -1],
-                            [-1, -1, 1], [1, -1, 1], [1, 1, 1], [-1, 1, 1]],
-                           dtype=float)
+    corners = 2.0 * CORNER_OFFSETS[dim] - 1.0
     gp = corners * _G  # 2x2(x2) full integration shares the corner layout
     gw = np.ones(len(gp))
     return corners, gp, gw
@@ -95,27 +93,15 @@ def element_tables(mesh):
     Jinv = np.linalg.inv(J)
     dNdx = np.einsum("gaj,egji->egai", dN_ref, Jinv)
 
-    thickness = mesh.thickness if dim == 2 else 1.0
-    w = detJ * gw[None, :] * thickness
+    w = detJ * gw[None, :] * mesh.thickness
 
-    nstr = 3 if dim == 2 else 6
-    B = np.zeros((conn.shape[0], ng, nstr, nper * dim))
-    ax = [np.s_[..., 0], np.s_[..., 1], np.s_[..., 2]]
-    if dim == 2:
-        B[:, :, 0, 0::2] = dNdx[ax[0]]
-        B[:, :, 1, 1::2] = dNdx[ax[1]]
-        B[:, :, 2, 0::2] = dNdx[ax[1]]  # engineering shear gamma_12
-        B[:, :, 2, 1::2] = dNdx[ax[0]]
-    else:
-        B[:, :, 0, 0::3] = dNdx[ax[0]]
-        B[:, :, 1, 1::3] = dNdx[ax[1]]
-        B[:, :, 2, 2::3] = dNdx[ax[2]]
-        B[:, :, 3, 1::3] = dNdx[ax[2]]  # gamma_23
-        B[:, :, 3, 2::3] = dNdx[ax[1]]
-        B[:, :, 4, 0::3] = dNdx[ax[2]]  # gamma_13
-        B[:, :, 4, 2::3] = dNdx[ax[0]]
-        B[:, :, 5, 0::3] = dNdx[ax[1]]  # gamma_12
-        B[:, :, 5, 1::3] = dNdx[ax[0]]
+    # one Voigt row per index pair (i, j) within the dimension; a shear
+    # row takes both cross gradients (engineering strain)
+    pairs = [p for p in VOIGT_PAIRS if max(p) < dim]
+    B = np.zeros((conn.shape[0], ng, len(pairs), nper * dim))
+    for row, (i, j) in enumerate(pairs):
+        B[:, :, row, i::dim] = dNdx[..., j]
+        B[:, :, row, j::dim] = dNdx[..., i]
     return ElementTables(conn=conn, N=N, dNdx=dNdx, B=B, w=w)
 
 

@@ -14,13 +14,31 @@ import numpy as np
 _FACE_NAMES = (("xmin", "xmax"), ("ymin", "ymax"), ("zmin", "zmax"))
 
 
+def _corner_offsets():
+    """0/1 grid offsets of an element's corners from its lower corner.
+
+    The counter-clockwise quad, and the brick as that quad at z = 0
+    followed by it at z = 1: the corner order of VTK cell types 9 and
+    12.  Read-only.
+    """
+    quad = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    brick = [q + (z,) for z in (0, 1) for q in quad]
+    out = {2: np.array(quad), 3: np.array(brick)}
+    for table in out.values():
+        table.flags.writeable = False
+    return out
+
+
+CORNER_OFFSETS = _corner_offsets()
+
+
 @dataclass
 class Mesh:
     """Structured mesh with an element activity mask.
 
     nodes: (n_nodes, dim) coordinates in m.
-    elems: (n_elems, 4 or 8) connectivity, counter-clockwise quads or
-        standard bricks; inactive elements stay in the table.
+    elems: (n_elems, 4 or 8) connectivity in `CORNER_OFFSETS` order;
+        inactive elements stay in the table.
     active: (n_elems,) bool mask (holes, slits, exterior cut-outs).
     node_sets: named node index arrays (the box faces).
     thickness: out-of-plane thickness, m (2D only; 1.0 in 3D).
@@ -51,13 +69,7 @@ class Mesh:
 
     def element_size(self):
         """Edge lengths (per axis) of the first element."""
-        e = self.elems[0]
-        if self.dim == 2:
-            return np.array([abs(self.nodes[e[1], 0] - self.nodes[e[0], 0]),
-                             abs(self.nodes[e[3], 1] - self.nodes[e[0], 1])])
-        return np.array([abs(self.nodes[e[1], 0] - self.nodes[e[0], 0]),
-                         abs(self.nodes[e[3], 1] - self.nodes[e[0], 1]),
-                         abs(self.nodes[e[4], 2] - self.nodes[e[0], 2])])
+        return np.ptp(self.nodes[self.elems[0]], axis=0)
 
     def set_nodes(self, name):
         try:
@@ -85,33 +97,12 @@ def structured_mesh(lengths, divisions, thickness=1.0):
         raise ValueError(f"thickness must be positive, got {thickness}")
     axes = [np.linspace(0.0, lengths[i], divisions[i] + 1)
             for i in range(dim)]
-    if dim == 2:
-        nx, ny = divisions
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="ij")
-        nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-        def nid(i, j):
-            return i * (ny + 1) + j
-
-        I, J = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        elems = np.column_stack([
-            nid(I, J).ravel(), nid(I + 1, J).ravel(),
-            nid(I + 1, J + 1).ravel(), nid(I, J + 1).ravel()])
-    else:
-        nx, ny, nz = divisions
-        X, Y, Z = np.meshgrid(axes[0], axes[1], axes[2], indexing="ij")
-        nodes = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
-
-        def nid(i, j, k):
-            return (i * (ny + 1) + j) * (nz + 1) + k
-
-        I, J, K = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
-                              indexing="ij")
-        elems = np.column_stack([
-            nid(I, J, K).ravel(), nid(I + 1, J, K).ravel(),
-            nid(I + 1, J + 1, K).ravel(), nid(I, J + 1, K).ravel(),
-            nid(I, J, K + 1).ravel(), nid(I + 1, J, K + 1).ravel(),
-            nid(I + 1, J + 1, K + 1).ravel(), nid(I, J + 1, K + 1).ravel()])
+    nodes = np.column_stack([X.ravel() for X in
+                             np.meshgrid(*axes, indexing="ij")])
+    lower = np.stack([I.ravel() for I in
+                      np.meshgrid(*map(np.arange, divisions), indexing="ij")])
+    corners = lower[:, :, None] + CORNER_OFFSETS[dim].T[:, None, :]
+    elems = np.ravel_multi_index(tuple(corners), divisions + 1)
 
     sets = {}
     for i in range(dim):

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, fields as dc_fields
 
 from . import materials
+from .mesh import _FACE_NAMES
 
 
 class SchemaError(ValueError):
@@ -132,7 +133,10 @@ class Scenario:
     defaulted: tuple = ()   # "section.key = value" strings applied by default
 
     def replace(self, section, **kv):
-        """Copy with selected keys of one section overridden."""
+        """Copy with selected keys of one section overridden.
+
+        An overridden key leaves the `defaulted` list.
+        """
         d = dict(getattr(self, section))
         for k, v in kv.items():
             if k not in d:
@@ -140,6 +144,9 @@ class Scenario:
             d[k] = v
         out = {f.name: getattr(self, f.name) for f in dc_fields(self)}
         out[section] = d
+        given = {f"{section}.{k}" for k in kv}
+        out["defaulted"] = tuple(s for s in self.defaulted
+                                 if s.split(" = ", 1)[0] not in given)
         return Scenario(**out)
 
 
@@ -221,8 +228,7 @@ def _validate(sc, name):
     if lo["u_max"] <= 0.0 or lo["steps"] < 1:
         raise SchemaError(f"{name}: loading program must be monotone "
                           f"(u_max > 0, steps >= 1)")
-    faces = {"xmin", "xmax", "ymin", "ymax"} | ({"zmin", "zmax"} if dim == 3
-                                                else set())
+    faces = {face for pair in _FACE_NAMES[:dim] for face in pair}
     for which in ("drive_face", "ground_face"):
         if el[which] not in faces:
             raise SchemaError(f"{name}: {which} '{el[which]}' is not a face "

@@ -170,7 +170,10 @@ class CoupledSystem:
         rho[..., 0, 1] = rho[..., 1, 0] = l44 * g12
         rho[..., 0, 2] = rho[..., 2, 0] = l44 * g13
         rho[..., 1, 2] = rho[..., 2, 1] = l44 * g23
-        if np.any(np.linalg.det(rho) <= 0.0):
+        # Sylvester: all three leading minors positive
+        minor2 = rho[..., 0, 0] * rho[..., 1, 1] - rho[..., 0, 1] ** 2
+        if (np.any(rho[..., 0, 0] <= 0.0) or np.any(minor2 <= 0.0)
+                or np.any(np.linalg.det(rho) <= 0.0)):
             raise StepFailure("strained resistivity lost positive definiteness")
         return np.linalg.inv(rho) / self.mat.rho0
 
@@ -330,9 +333,6 @@ class RunResult:
     state: FieldState
     aborted: bool = False
     abort_reason: str = ""
-
-    def curve(self, name):
-        return np.array([getattr(r, name) for r in self.records])
 
 
 def run_load_program(system, constraints, load_groups, load_values,

@@ -86,18 +86,23 @@ def test_tunneling_resistance_scalings():
 
 
 def test_interphase_layer_channels(panel):
-    eh = conduction.interphase_layer(panel, "EH")
-    assert 2 * eh.t == panel.d_c
+    # the layer is half the gap, its conductivity the junction's gap over
+    # its resistance through the fiber cross-section; hopping uses the
+    # cutoff distance, the network a gap shrunk by the excess over onset
     f_c = conduction.percolation_threshold(panel.kappa)
-    cn = conduction.interphase_layer(panel, "CN", f_p=panel.f_p0, f_c=f_c)
-    assert np.isclose(2 * cn.t, panel.d_c * (f_c / panel.f_p0) ** (1.0 / 3.0),
-                      rtol=1e-12)
+    eh_gap = panel.d_c
+    cn_gap = panel.d_c * (f_c / panel.f_p0) ** (1.0 / 3.0)
+    area = np.pi * panel.D_cnt ** 2 / 4.0
+    eh, cn = (conduction.interphase_layer(panel, gap)
+              for gap in (eh_gap, cn_gap))
+    for layer, gap in ((eh, eh_gap), (cn, cn_gap)):
+        R = conduction.tunneling_resistance(gap, panel.lambda_eV, area)
+        assert 2 * layer.t == gap
+        assert np.isclose(layer.sigma_int, gap / (area * R), rtol=1e-12)
     assert cn.t < eh.t
-    # conductive-network spacing undefined below the onset
+    assert cn.sigma_int > eh.sigma_int
     with pytest.raises(ValueError):
-        conduction.interphase_layer(panel, "CN", f_p=0.5 * f_c, f_c=f_c)
-    with pytest.raises(ValueError):
-        conduction.interphase_layer(panel, "XX")
+        conduction.interphase_layer(panel, 0.0)
 
 
 def test_equivalent_cylinder_identities():
@@ -128,12 +133,20 @@ def test_effective_conductivity_rejects_inverted_volume(panel):
         conduction.effective_conductivity(panel, R @ eps @ R.T)
 
 
-def test_strained_odf_uniform_limit_and_normalization():
-    w = conduction.strained_odf((1.0, 1.0, 1.0))
+def _density(stretches):
+    """The strained density as a function of the two angles."""
+    def w(g1, g2):
+        return conduction._strained_density(
+            *stretches, np.sin(g1), np.cos(g1), np.sin(g2), np.cos(g2))
+    return w
+
+
+def test_strained_density_uniform_limit_and_normalization():
+    w = _density((1.0, 1.0, 1.0))
     assert np.isclose(w(0.3, 0.7), 1.0, rtol=1e-12)
 
     # reweighted density keeps unit mass over the quarter sphere
-    w = conduction.strained_odf((1.05, 0.98, 0.97))
+    w = _density((1.05, 0.98, 0.97))
     x, wq = np.polynomial.legendre.leggauss(48)
     x1, w1 = np.pi * (x + 1.0), np.pi * wq                # [0, 2pi]
     x2, w2 = 0.25 * np.pi * (x + 1.0), 0.25 * np.pi * wq  # [0, pi/2]
@@ -158,13 +171,13 @@ def test_second_moment_uniform_and_stretched():
 
 def _moment_rule_inline(stretches):
     """<m x m> with the 32 x 32 moment rule built from scratch, the
-    density evaluated by `strained_odf` on the node grids."""
+    density evaluated on the node grids."""
     g1, w1 = np.polynomial.legendre.leggauss(32)
     a1, w1 = np.pi * (g1 + 1.0), np.pi * w1
     g2, w2 = np.polynomial.legendre.leggauss(32)
     a2, w2 = 0.25 * np.pi * (g2 + 1.0), 0.25 * np.pi * w2
     A1, A2 = np.meshgrid(a1, a2, indexing="ij")
-    dens = conduction.strained_odf(stretches)(A1, A2)
+    dens = _density(stretches)(A1, A2)
     wt = np.outer(w1, w2 * np.sin(a2)) * dens
     wt /= np.sum(wt)
     m = np.stack([np.cos(A1) * np.sin(A2), np.sin(A1) * np.sin(A2),
@@ -183,9 +196,10 @@ def test_quadrature_rules_are_read_only():
     rules = [conduction._MOMENT_SIN1, conduction._MOMENT_COS1,
              conduction._MOMENT_SIN2, conduction._MOMENT_COS2,
              conduction._MOMENT_WEIGHT, conduction._MOMENT_AXES,
-             conduction._ONSET_G, conduction._ONSET_G1, conduction._ONSET_G2,
-             conduction._ONSET_SIN, conduction._ONSET_CC,
-             conduction._ONSET_AREA]
+             conduction._ONSET_G, conduction._ONSET_SIN, conduction._ONSET_CC,
+             conduction._ONSET_AREA, conduction._ONSET_SIN1,
+             conduction._ONSET_COS1, conduction._ONSET_SIN2,
+             conduction._ONSET_COS2]
     for arr in rules:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

@@ -59,6 +59,24 @@ def test_rigid_translation_zero_strain():
     assert np.abs(eps).max() < 1e-13
 
 
+def test_affine_displacement_exact_strain_3d():
+    # every B row, the three shear rows included, reads the engineering
+    # strain of an affine field, also on a distorted brick
+    m = meshing.structured_mesh((1.0, 2.0, 3.0), (2, 2, 2))
+    center = np.flatnonzero(np.all(m.nodes == [0.5, 1.0, 1.5], axis=1))
+    m.nodes[center] += [0.04, -0.06, 0.05]
+    t = elements.element_tables(m)
+    A = np.array([[0.3, -0.7, 0.2],
+                  [0.5, -0.1, 0.9],
+                  [-0.4, 0.6, 0.8]])
+    u = (m.nodes @ A.T + [0.1, -0.2, 0.3]).ravel()
+    edof = (t.conn[:, :, None] * 3 + np.arange(3)).reshape(len(t.conn), -1)
+    eps = np.einsum("egKA,eA->egK", t.B, u[edof])
+    want = [A[0, 0], A[1, 1], A[2, 2], A[1, 2] + A[2, 1], A[0, 2] + A[2, 0],
+            A[0, 1] + A[1, 0]]
+    assert np.allclose(eps, want, rtol=0.0, atol=1e-13)
+
+
 def test_weights_sum_to_volume():
     m = meshing.structured_mesh((0.2, 0.1), (5, 4), thickness=0.005)
     t = elements.element_tables(m)

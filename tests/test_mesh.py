@@ -28,6 +28,38 @@ def test_structured_counts_3d():
     assert len(m.set_nodes("xmax")) == 20
 
 
+def test_structured_literal_2d():
+    # nodes run with y fastest; each quad is counter-clockwise from its
+    # lower-left corner
+    m = meshing.structured_mesh((2.0, 1.0), (2, 1))
+    assert np.array_equal(m.nodes, [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0],
+                                     [1.0, 1.0], [2.0, 0.0], [2.0, 1.0]])
+    assert np.array_equal(m.elems, [[0, 2, 3, 1], [2, 4, 5, 3]])
+    assert m.elems.dtype == np.int64
+
+
+def test_structured_literal_3d():
+    # z fastest; each brick is the counter-clockwise quad at its lower z
+    # followed by the same quad one layer up (VTK hexahedron order)
+    m = meshing.structured_mesh((1.0, 1.0, 2.0), (1, 1, 2))
+    assert np.array_equal(m.nodes, [
+        [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 2.0],
+        [0.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 2.0],
+        [1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, 2.0],
+        [1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
+    assert np.array_equal(m.elems, [[0, 6, 9, 3, 1, 7, 10, 4],
+                                    [1, 7, 10, 4, 2, 8, 11, 5]])
+    assert m.elems.dtype == np.int64
+    assert m.thickness == 1.0
+
+
+def test_element_size_per_axis_3d():
+    lengths, divisions = (0.3, 0.2, 0.5), (3, 4, 2)
+    m = meshing.structured_mesh(lengths, divisions)
+    want = [np.linspace(0.0, a, n + 1)[1] for a, n in zip(lengths, divisions)]
+    assert np.array_equal(m.element_size(), want)
+
+
 def test_total_area_matches_domain():
     m = meshing.structured_mesh((0.10, 0.20), (20, 40))
     hx, hy = m.element_size()

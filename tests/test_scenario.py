@@ -109,6 +109,12 @@ def test_replace_copies_one_section():
     sc2 = sc.replace("phase_field", k=10.0)
     assert sc2.phase_field["k"] == 10.0
     assert sc.phase_field["k"] == 50.0
+    # an overridden key is no longer listed as defaulted; the rest stay
+    assert any(s.startswith("phase_field.k = ") for s in sc.defaulted)
+    assert not any(s.startswith("phase_field.k = ") for s in sc2.defaulted)
+    assert set(sc.defaulted) - set(sc2.defaulted) == {"phase_field.k = 50.0"}
+    sc3 = sc.replace("mc", seed=5)
+    assert not any(s.startswith("mc.seed = ") for s in sc3.defaulted)
     with pytest.raises(KeyError):
         sc.replace("phase_field", kk=1.0)
 

@@ -210,11 +210,16 @@ def test_conductivity_3d_matches_resistivity_map():
     assert np.allclose(sig, np.linalg.inv(rho), rtol=1e-12)
 
 
-def test_conductivity_loses_definiteness_raises():
+@pytest.mark.parametrize("lengths, voigt", [
+    ((1.0, 1.0), (-0.5, -0.5, 0.0)),
+    # two negative eigenvalues: det(rho) > 0 although rho is indefinite
+    ((1.0, 1.0, 1.0), (-0.15, -0.15, -0.25, 0.0, 0.0, 0.0)),
+], ids=["quad", "brick"])
+def test_conductivity_loses_definiteness_raises(lengths, voigt):
     mat = _mat()
-    m = meshing.structured_mesh((1.0, 1.0), (1, 1))
+    m = meshing.structured_mesh(lengths, (1,) * len(lengths))
     sys_ = solver.CoupledSystem(m, mat)
-    eps = np.array([[[-0.5, -0.5, 0.0]]])
+    eps = np.array(voigt).reshape(1, 1, -1)
     with pytest.raises(solver.StepFailure, match="definiteness"):
         sys_.conductivity(eps)
 
@@ -407,7 +412,7 @@ def test_gauge_response_positive_slope():
     con.fix("ground", dm.phi_dofs(m.set_nodes("xmax")))
     res = solver.run_load_program(sys_, con, ["pull"], [5e-6, 1e-5],
                                   "drive", "ground", max_cutbacks=10)
-    rel = res.curve("rel_resistance")
+    rel = np.array([r.rel_resistance for r in res.records])
     assert rel[0] == 0.0
     assert np.all(np.diff(rel) > 0.0)
     gf = rel[-1] / (1e-5 / 0.05)
@@ -447,8 +452,8 @@ def test_zero_voltage_zero_current():
     con.fix("ground", dm.phi_dofs(m.set_nodes("xmax")))
     res = solver.run_load_program(sys_, con, ["pull"], [1e-5, 2e-5],
                                   "drive", "ground", max_cutbacks=10)
-    assert np.all(res.curve("current") == 0.0)
-    assert np.all(np.isinf(res.curve("resistance")))
+    assert np.all(np.array([r.current for r in res.records]) == 0.0)
+    assert np.all(np.isinf(np.array([r.resistance for r in res.records])))
 
 
 def test_cutback_bisects_and_aborts_on_persistent_failure():
