@@ -6,9 +6,9 @@ scheme normalized over all phases.  Fibers are prolate spheroids with a
 common aspect ratio, oriented with a uniform density.  That orientation
 average is computed in closed form: each phase's concentration tensors
 are transversely isotropic about the fiber axis, so their uniform
-average is exactly their isotropic projection.  The fracture-energy
-model adds the work of fiber pull-out and rupture across a bridged
-crack to the matrix toughness.
+average is exactly their isotropic projection, read off the 6x6 Voigt
+matrices.  The fracture-energy model adds the work of fiber pull-out
+and rupture across a bridged crack to the matrix toughness.
 
 All inputs are SI.
 """
@@ -78,7 +78,7 @@ def eshelby_prolate(kappa, nu_m):
         raise ValueError(f"matrix Poisson ratio outside (-1, 0.5): {nu_m}")
     nu = nu_m
     # V[I, J] is the tensor component S_ijkl of the Voigt slots I = (i, j)
-    # and J = (k, l)
+    # and J = (k, l); the strain-map convention doubles the shear rows
     V = np.zeros((6, 6))
     if kappa == 1.0:
         V[:3, :3] = (5.0 * nu - 1.0) / (15.0 * (1.0 - nu))
@@ -106,7 +106,8 @@ def eshelby_prolate(kappa, nu_m):
         V[2, 0] = V[2, 1] = q * (I13 - m * I3)
         V[5, 5] = q * (I12 + m * I1)
         V[3, 3] = V[4, 4] = 0.5 * q * ((1.0 + k2) * I13 + m * (I1 + I3))
-    return tensors.full_to_strain_map(tensors.stiffness_to_full(V))
+    V[3:] *= 2.0
+    return V
 
 
 def dilute_concentration(C_incl, C_m, S):
@@ -143,12 +144,13 @@ def effective_stiffness(spec):
     fiber-shaped Eshelby tensor) and the products C A are averaged over
     the uniform orientation density and normalized over all phases.
     The average is computed in closed form, as the isotropic projection
-    `tensors.isotropic_projection`.  It is exact because isotropic
-    phases and a spheroidal shape make A and C A transversely isotropic
-    about the fiber axis, so the spin about the axis and the sign of
-    the axis drop out of the uniform average.  Returns the
-    matrix stiffness outright when the filler content is zero or when
-    no phase has any contrast with the matrix.
+    `tensors.isotropic_projection` of each 6x6 (shear-row factor 2 for
+    the strain map A, 1 for the stiffness-like C A).  It is exact
+    because isotropic phases and a spheroidal shape make A and C A
+    transversely isotropic about the fiber axis, so the spin about the
+    axis and the sign of the axis drop out of the uniform average.
+    Returns the matrix stiffness outright when the filler content is
+    zero or when no phase has any contrast with the matrix.
     """
     C_m = tensors.isotropic_stiffness(spec.E_m, spec.nu_m)
     if spec.f_p0 == 0.0:
@@ -173,11 +175,8 @@ def effective_stiffness(spec):
         if weight == 0.0 or _phases_match(C_phase, C_m):
             return np.eye(6), C_m
         A = dilute_concentration(C_phase, C_m, S)
-        A_avg = tensors.isotropic_projection(tensors.strain_map_to_full(A))
-        CA_avg = tensors.isotropic_projection(
-            tensors.stiffness_to_full(C_phase @ A))
-        return (tensors.full_to_strain_map(A_avg),
-                tensors.full_to_stiffness(CA_avg))
+        return (tensors.isotropic_projection(A, 2),
+                tensors.isotropic_projection(C_phase @ A, 1))
 
     A_i_avg, CA_i_avg = phase_averages(C_i, f_i)
     A_p_avg, CA_p_avg = phase_averages(C_p, f_p)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_FACE_NAMES = (("xmin", "xmax"), ("ymin", "ymax"), ("zmin", "zmax"))
+FACE_NAMES = (("xmin", "xmax"), ("ymin", "ymax"), ("zmin", "zmax"))
 
 
 def _corner_offsets():
@@ -106,7 +106,7 @@ def structured_mesh(lengths, divisions, thickness=1.0):
 
     sets = {}
     for i in range(dim):
-        lo, hi = _FACE_NAMES[i]
+        lo, hi = FACE_NAMES[i]
         tol = 1e-9 * max(lengths)
         sets[lo] = np.flatnonzero(np.abs(nodes[:, i]) < tol)
         sets[hi] = np.flatnonzero(np.abs(nodes[:, i] - lengths[i]) < tol)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields as dc_fields
 
 from . import materials
-from .mesh import _FACE_NAMES
+from .mesh import FACE_NAMES
 
 
 class SchemaError(ValueError):
@@ -133,7 +133,7 @@ class Scenario:
     defaulted: tuple = ()   # "section.key = value" strings applied by default
 
     def replace(self, section, **kv):
-        """Copy with selected keys of one section overridden.
+        """Validated copy with selected keys of one section overridden.
 
         An overridden key leaves the `defaulted` list.
         """
@@ -147,7 +147,9 @@ class Scenario:
         given = {f"{section}.{k}" for k in kv}
         out["defaulted"] = tuple(s for s in self.defaulted
                                  if s.split(" = ", 1)[0] not in given)
-        return Scenario(**out)
+        sc = Scenario(**out)
+        _validate(sc, f"[{section}] override")
+        return sc
 
 
 def parse_text(text, name="<config>"):
@@ -228,7 +230,7 @@ def _validate(sc, name):
     if lo["u_max"] <= 0.0 or lo["steps"] < 1:
         raise SchemaError(f"{name}: loading program must be monotone "
                           f"(u_max > 0, steps >= 1)")
-    faces = {face for pair in _FACE_NAMES[:dim] for face in pair}
+    faces = {face for pair in FACE_NAMES[:dim] for face in pair}
     for which in ("drive_face", "ground_face"):
         if el[which] not in faces:
             raise SchemaError(f"{name}: {which} '{el[which]}' is not a face "
@@ -242,6 +244,10 @@ def _validate(sc, name):
         raise SchemaError(f"{name}: ell must be positive when given")
     if sc.mc["replicates"] < 1:
         raise SchemaError(f"{name}: mc.replicates must be >= 1")
+    for sec, key in (("mc", "seed"), ("solver", "max_cutbacks"),
+                     ("output", "vtk_every"), ("geometry", "surface_notches")):
+        if getattr(sc, sec)[key] < 0:
+            raise SchemaError(f"{name}: {sec}.{key} must be >= 0")
 
 
 def resolve_material(sc):
@@ -263,12 +269,14 @@ def resolve_material(sc):
     if not (math.isnan(m["wt"]) or math.isnan(m["f_p"])):
         raise SchemaError("material.wt and material.f_p both set the filler "
                           "fraction; give one of them")
-    if not math.isnan(m["wt"]):
-        rho_f, rho_m = materials.PRESET_DENSITIES[m["preset"]]
-        over["f_p0"] = materials.mass_to_volume_fraction(m["wt"], rho_f, rho_m)
     if not math.isnan(m["f_p"]):
         over["f_p0"] = m["f_p"]
+    # the card lookup names an unknown preset before its densities are read
     spec = materials.preset(m["preset"], **over)
+    if not math.isnan(m["wt"]):
+        rho_f, rho_m = materials.PRESET_DENSITIES[m["preset"]]
+        spec = spec.with_filler(
+            materials.mass_to_volume_fraction(m["wt"], rho_f, rho_m))
     props = materials.derive_properties(spec)
     return props, spec
 

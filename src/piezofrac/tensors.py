@@ -5,17 +5,14 @@ with minor symmetries as 6x6 matrices.  Strain-like vectors carry
 engineering (doubled) shear components, stress-like vectors do not, and
 the 6x6 conventions below keep matrix products meaningful for both
 stiffness-like maps (strain -> stress) and concentration-like maps
-(strain -> strain).
+(strain -> strain).  A stiffness holds the tensor entries T_ijkl as
+they are; a strain map holds its three shear rows doubled.
 
 Voigt ordering: 11, 22, 33, 23, 13, 12.
 
-The four Voigt <-> full conversions are each one fancy-index gather
-(and, for strain maps, one multiply) through read-only module tables
-built at import: the slot of each index pair, the pair of each slot,
-and the shear-row factors of the strain-map convention.
-
 The uniform orientation average of a rank-4 tensor is computed in
-closed form, as its isotropic projection (`isotropic_projection`).  For
+closed form, as its isotropic projection (`isotropic_projection`),
+which reads the tensor's two linear invariants off the 6x6 matrix.  For
 a tensor that is transversely isotropic about the fiber axis, spinning
 it about that axis or flipping the axis leaves it unchanged, so the
 average over uniformly distributed fiber axes equals the average over
@@ -30,63 +27,6 @@ import numpy as np
 VOIGT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 
 _SQRT2 = np.sqrt(2.0)
-
-# isotropic projectors J = d_ij d_kl / 3 and K = I_sym - J
-_DELTA = np.eye(3)
-_J = np.einsum("ij,kl->ijkl", _DELTA, _DELTA) / 3.0
-_K = 0.5 * (np.einsum("ik,jl->ijkl", _DELTA, _DELTA)
-            + np.einsum("il,jk->ijkl", _DELTA, _DELTA)) - _J
-
-
-def _voigt_tables():
-    """Fancy indices and row factors of the Voigt <-> full conversions.
-
-    slot[i, j] is the Voigt slot of the index pair (i, j) in either
-    order, and (pair_i[I], pair_j[I]) the pair of slot I.  Returns the
-    index that gathers a 6x6 matrix into the 3x3x3x3 tensor, the index
-    that picks the matrix back out of the tensor, and the shear-row
-    factors of the strain-map conversions: 1/2 toward the tensor (over
-    the output pair (i, j)) and 2 toward the matrix.  All arrays are
-    read-only.
-    """
-    slot = np.empty((3, 3), dtype=np.intp)
-    for I, (i, j) in enumerate(VOIGT_PAIRS):
-        slot[i, j] = slot[j, i] = I
-    pair_i, pair_j = (np.array(t, dtype=np.intp) for t in zip(*VOIGT_PAIRS))
-    normal = np.arange(6) < 3
-    to_full = (slot[:, :, None, None], slot)
-    from_full = (pair_i[:, None], pair_j[:, None], pair_i, pair_j)
-    half = np.where(normal, 1.0, 0.5)[slot][:, :, None, None]
-    double = np.where(normal, 1.0, 2.0)[:, None]
-    for a in to_full + from_full + (half, double):
-        a.flags.writeable = False
-    return to_full, from_full, half, double
-
-
-_TO_FULL, _FROM_FULL, _HALF_SHEAR_IJ, _DOUBLE_SHEAR_ROWS = _voigt_tables()
-
-
-def stiffness_to_full(C):
-    """6x6 stiffness -> full C_ijkl (both minor symmetries restored)."""
-    return np.asarray(C, dtype=float)[_TO_FULL]
-
-
-def full_to_stiffness(T):
-    return np.asarray(T, dtype=float)[_FROM_FULL]
-
-
-def strain_map_to_full(A):
-    """6x6 strain->strain map (engineering convention) -> full A_ijkl.
-
-    Rows 4..6 of the Voigt form hold doubled output shears, so the full
-    tensor entry is half the stored value there; columns already absorb
-    the input's engineering factor.
-    """
-    return _HALF_SHEAR_IJ * np.asarray(A, dtype=float)[_TO_FULL]
-
-
-def full_to_strain_map(T):
-    return _DOUBLE_SHEAR_ROWS * np.asarray(T, dtype=float)[_FROM_FULL]
 
 
 def isotropic_stiffness(E, nu):
@@ -104,19 +44,27 @@ def isotropic_stiffness(E, nu):
     return C
 
 
-def isotropic_projection(T):
-    """Uniform orientation average of a minor-symmetric rank-4 tensor T.
+def isotropic_projection(M, shear_rows):
+    """Uniform orientation average of a minor-symmetric rank-4 tensor.
 
-    Returns the full isotropic tensor 3 alpha J + beta K with
-    alpha = T_iijj / 9 and beta = (T_ijij - 3 alpha) / 5 (Walpole, Adv.
-    Appl. Mech. 21, 1981).  T_iijj and T_ijij are the only rotation
-    invariants linear in T, so this is the exact average of T over all
-    rotations; T needs no major symmetry.
+    M is its 6x6 Voigt matrix and shear_rows the factor r on the shear
+    rows of M's convention: 1 for a stiffness, 2 for an engineering
+    strain map.  The average is 3 alpha J + beta K with alpha = T_iijj / 9
+    and beta = (T_ijij - 3 alpha) / 5 (Walpole, Adv. Appl. Mech. 21,
+    1981), where T_iijj is the sum of M's normal block and T_ijij its
+    normal trace plus 2/r times its shear trace.  These are the only
+    rotation invariants linear in T, so this is the exact average of T
+    over all rotations; T needs no major symmetry.  Returns the 6x6 of
+    that average in M's convention: alpha - beta/3 + beta delta_IJ on
+    the normal block and r beta / 2 on the shear diagonal.
     """
-    T = np.asarray(T, dtype=float)
-    alpha = np.einsum("iijj->", T) / 9.0
-    beta = (np.einsum("ijij->", T) - 3.0 * alpha) / 5.0
-    return 3.0 * alpha * _J + beta * _K
+    M = np.asarray(M, dtype=float)
+    alpha = float(M[:3, :3].sum()) / 9.0
+    d = M.diagonal().tolist()
+    beta = (sum(d[:3]) + (2.0 / shear_rows) * sum(d[3:]) - 3.0 * alpha) / 5.0
+    out = np.diag([beta] * 3 + [0.5 * shear_rows * beta] * 3)
+    out[:3, :3] += alpha - beta / 3.0
+    return out
 
 
 def isotropic_part(C):
@@ -124,7 +72,7 @@ def isotropic_part(C):
 
     Returns (C_iso, E, nu, aniso) where aniso = ||C - C_iso||_F / ||C||_F.
     """
-    C_iso = full_to_stiffness(isotropic_projection(stiffness_to_full(C)))
+    C_iso = isotropic_projection(C, 1)
     lam, mu = C_iso[0, 1], C_iso[3, 3]
     E = mu * (3.0 * lam + 2.0 * mu) / (lam + mu)
     nu = lam / (2.0 * (lam + mu))

@@ -20,6 +20,11 @@ to `preset`.
 And every dataclass or NamedTuple field must be read: some code in
 `src/piezofrac` loads an attribute of that name.  A field that is only
 written is carried along for nobody.
+
+Finally, an underscore name is private to its module: no module in
+`src/piezofrac` imports one from another (`from .mesh import _X`) or
+reaches one through an imported sibling (`mesh._X`).  A name another
+module needs is public.
 """
 
 import ast
@@ -226,3 +231,33 @@ def test_field_allowlist_names_unread_fields_only():
     found = {(cls, name) for _, cls, name in fields}
     assert ALLOWED_UNREAD_FIELDS <= found
     assert not {name for _, name in ALLOWED_UNREAD_FIELDS} & reads
+
+
+def _private_imports(path):
+    """`module:line name` of each underscore name that the module at path
+    takes from another module of the package."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    siblings, out = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                if node.module is None:
+                    siblings.add(alias.asname or alias.name)
+                if alias.name.startswith("_"):
+                    out.append(f"{path.name}:{node.lineno} {alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings):
+            out.append(f"{path.name}:{node.lineno} "
+                       f"{node.value.id}.{node.attr}")
+    return out
+
+
+def test_no_module_imports_another_modules_private_name():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 5   # the walk found the package
+    found = [hit for path in paths for hit in _private_imports(path)]
+    assert not found, "underscore names taken from another module: " + \
+        ", ".join(found)

@@ -81,6 +81,21 @@ def test_unknown_key_reported_with_location(tmp_path, capsys):
     assert "lenght_scale" in err and ":2" in err
 
 
+def test_negative_seed_flag_is_schema_error(capsys):
+    code = cli.main(["mc", "--scenario", "canned:defects", "--seed", "-5"])
+    assert code == cli.EXIT_SCHEMA
+    assert "mc.seed must be >= 0" in capsys.readouterr().err
+
+
+def test_unknown_preset_on_weight_route_is_named(tmp_path, capsys):
+    p = tmp_path / "foo.cfg"
+    p.write_text("[material]\npreset = foo\nwt = 0.01\n", encoding="utf-8")
+    code = cli.main(["run", "--scenario", str(p), "--out", str(tmp_path)])
+    assert code == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "unknown material preset 'foo'; available: [" in err
+
+
 def test_flags_only_on_the_verbs_they_change(capsys):
     # --threads is gone; --replicates acts on mc only, --seed not on props
     for argv in (["run", "--threads", "1"], ["props", "--replicates", "2"],

@@ -64,13 +64,21 @@ def test_interphase_fraction_bounded_and_monotone_in_thickness():
 # ---------------------------------------------------------------- Eshelby
 
 
-def _full(S):
-    return tensors.strain_map_to_full(S)
+def _loop_to_full(S):
+    """6x6 engineering strain map -> full S_ijkl by a double loop over
+    the Voigt slots; the doubled shear rows are halved."""
+    T = np.empty((3, 3, 3, 3))
+    for I, (i, j) in enumerate(tensors.VOIGT_PAIRS):
+        rf = 1.0 if I < 3 else 0.5
+        for J, (k, l) in enumerate(tensors.VOIGT_PAIRS):
+            v = rf * S[I, J]
+            T[i, j, k, l] = T[j, i, k, l] = T[i, j, l, k] = T[j, i, l, k] = v
+    return T
 
 
 def test_eshelby_sphere_closed_form():
     nu = 0.3
-    T = _full(elastic.eshelby_prolate(1.0, nu))
+    T = _loop_to_full(elastic.eshelby_prolate(1.0, nu))
     assert np.isclose(T[0, 0, 0, 0], (7.0 - 5.0 * nu) / (15.0 * (1.0 - nu)))
     assert np.isclose(T[0, 0, 1, 1], (5.0 * nu - 1.0) / (15.0 * (1.0 - nu)))
     assert np.isclose(T[0, 1, 0, 1], (4.0 - 5.0 * nu) / (15.0 * (1.0 - nu)))
@@ -81,7 +89,7 @@ def test_eshelby_sphere_closed_form():
 
 def test_eshelby_prolate_frozen_values():
     # frozen 30-digit evaluations of the closed-form integrals
-    T = _full(elastic.eshelby_prolate(5.0, 0.3))
+    T = _loop_to_full(elastic.eshelby_prolate(5.0, 0.3))
     assert np.isclose(T[0, 0, 0, 0], 0.66130529571357075, rtol=1e-12)
     assert np.isclose(T[2, 2, 2, 2], 0.11078732277641999, rtol=1e-12)
     assert np.isclose(T[0, 0, 1, 1], 0.04059147377165791, rtol=1e-12)
@@ -90,7 +98,7 @@ def test_eshelby_prolate_frozen_values():
     assert np.isclose(T[0, 1, 0, 1], 0.31035691097095642, rtol=1e-12)
     assert np.isclose(T[0, 2, 0, 2], 0.23647206596363142, rtol=1e-12)
 
-    T = _full(elastic.eshelby_prolate(50.0, 0.28))
+    T = _loop_to_full(elastic.eshelby_prolate(50.0, 0.28))
     assert np.isclose(T[0, 0, 0, 0], 0.67328689954425783, rtol=1e-12)
     assert np.isclose(T[2, 2, 2, 2], 0.0031704180418253002, rtol=1e-10)
     assert np.isclose(T[0, 0, 1, 1], 0.021019201913175449, rtol=1e-12)
@@ -102,7 +110,7 @@ def test_eshelby_prolate_frozen_values():
 
 def test_eshelby_cylinder_limit():
     nu = 0.28
-    T = _full(elastic.eshelby_prolate(1e7, nu))
+    T = _loop_to_full(elastic.eshelby_prolate(1e7, nu))
     d = 8.0 * (1.0 - nu)
     assert np.isclose(T[0, 0, 0, 0], (5.0 - 4.0 * nu) / d, atol=1e-6)
     assert np.isclose(T[0, 0, 1, 1], (4.0 * nu - 1.0) / d, atol=1e-6)
@@ -113,7 +121,7 @@ def test_eshelby_cylinder_limit():
 
 
 def test_eshelby_minor_symmetries():
-    T = _full(elastic.eshelby_prolate(17.0, 0.31))
+    T = _loop_to_full(elastic.eshelby_prolate(17.0, 0.31))
     assert np.allclose(T, T.transpose(1, 0, 2, 3))
     assert np.allclose(T, T.transpose(0, 1, 3, 2))
     # transverse isotropy about x3

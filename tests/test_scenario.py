@@ -119,6 +119,32 @@ def test_replace_copies_one_section():
         sc.replace("phase_field", kk=1.0)
 
 
+_COUNTS = [("mc", "seed"), ("solver", "max_cutbacks"),
+           ("output", "vtk_every"), ("geometry", "surface_notches")]
+
+
+@pytest.mark.parametrize("section, key", _COUNTS)
+def test_negative_count_or_seed_rejected_by_key(section, key):
+    with pytest.raises(scenario.SchemaError, match=rf"{section}\.{key}"):
+        scenario.parse_text(f"[{section}]\n{key} = -1\n", "f")
+    # zero is a valid count and seed
+    sc = scenario.parse_text(f"[{section}]\n{key} = 0\n", "f")
+    assert getattr(sc, section)[key] == 0
+
+
+@pytest.mark.parametrize("section, key", _COUNTS)
+def test_replace_validates_its_result(section, key):
+    sc = scenario.parse_text(MINIMAL, "mini")
+    with pytest.raises(scenario.SchemaError, match=rf"{section}\.{key}"):
+        sc.replace(section, **{key: -5})
+
+
+def test_resolve_weight_fraction_names_unknown_preset():
+    sc = scenario.parse_text("[material]\npreset = foo\nwt = 0.01\n", "f")
+    with pytest.raises(KeyError, match=r"unknown material preset 'foo'"):
+        scenario.resolve_material(sc)
+
+
 def test_parse_scenario_reads_file(tmp_path):
     p = tmp_path / "case.cfg"
     p.write_text(MINIMAL, encoding="utf-8")

@@ -1,9 +1,11 @@
 """Tests of the Voigt toolbox and the closed-form orientation average.
 
-The engineering-shear bookkeeping is exercised through round trips and
-invariants.  Rotations act on full fourth-order tensors by index
-gymnastics, and the isotropic projection is checked against a
-quadrature over fiber directions written here.
+The package keeps rank-4 tensors as 6x6 matrices.  The tests carry them
+to full fourth-order tensors through loop conversions written here, and
+check the engineering-shear bookkeeping through invariants.  Rotations
+act on the full tensors by index gymnastics, and the isotropic
+projection is checked against a quadrature over fiber directions and
+against the full-tensor projector formula, both written here.
 """
 
 import numpy as np
@@ -57,7 +59,7 @@ def _random_strain_map(rng):
     T = rng.normal(size=(3, 3, 3, 3))
     T = 0.25 * (T + T.transpose(1, 0, 2, 3)
                 + T.transpose(0, 1, 3, 2) + T.transpose(1, 0, 3, 2))
-    return tensors.full_to_strain_map(T)
+    return _loop_from_full(T, 2.0)
 
 
 def test_voigt_pairs_ordering():
@@ -90,89 +92,27 @@ def _loop_from_full(T, shear_factor):
     return out
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_conversions_equal_loop_reference(seed):
-    """The index-table gathers reproduce the loop conversions bit for
-    bit, on a stiffness, a non-symmetric strain map, an arbitrary 6x6
-    matrix and an arbitrary (no symmetry at all) 3x3x3x3 array."""
-    rng = _rng(100 + seed)
-    A = _random_strain_map(rng)
-    assert not np.allclose(A, A.T)
-    mats = [_random_stiffness(rng), A,
-            rng.normal(size=(6, 6)) * 10.0 ** rng.integers(-200, 200, (6, 6))]
-    for M in mats:
-        assert np.array_equal(tensors.stiffness_to_full(M),
-                              _loop_to_full(M, 1.0))
-        assert np.array_equal(tensors.strain_map_to_full(M),
-                              _loop_to_full(M, 0.5))
-    for T in (rng.normal(size=(3, 3, 3, 3)), tensors.strain_map_to_full(A)):
-        assert np.array_equal(tensors.full_to_stiffness(T),
-                              _loop_from_full(T, 1.0))
-        assert np.array_equal(tensors.full_to_strain_map(T),
-                              _loop_from_full(T, 2.0))
-
-
-def test_conversions_accept_lists_and_keep_nonfinite_entries():
-    M = np.arange(36.0).reshape(6, 6)
-    M[0, 1], M[3, 4], M[5, 5] = np.nan, np.inf, 5e-324
-    assert np.array_equal(tensors.stiffness_to_full(M.tolist()),
-                          _loop_to_full(M, 1.0), equal_nan=True)
-    assert np.array_equal(tensors.strain_map_to_full(M),
-                          _loop_to_full(M, 0.5), equal_nan=True)
-    T = tensors.stiffness_to_full(M)
-    assert np.array_equal(tensors.full_to_strain_map(T),
-                          _loop_from_full(T, 2.0), equal_nan=True)
-
-
-def test_voigt_index_tables_are_read_only():
-    tables = [*tensors._TO_FULL, *tensors._FROM_FULL,
-              tensors._HALF_SHEAR_IJ, tensors._DOUBLE_SHEAR_ROWS]
-    for arr in tables:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[(0,) * arr.ndim] = 1
-
-
 def test_energy_consistency_of_voigt_convention():
     """eps : C : eps must equal the Voigt quadratic form with engineering
     shears."""
     C = _random_stiffness(_rng(3))
-    T = tensors.stiffness_to_full(C)
+    T = _loop_to_full(C, 1.0)
     assert np.isclose(np.einsum("ij,ijkl,kl->", _EPS, T, _EPS),
                       _EPS_VOIGT @ C @ _EPS_VOIGT)
 
 
-def test_stiffness_full_round_trip():
-    rng = _rng(4)
-    C = _random_stiffness(rng)
-    T = tensors.stiffness_to_full(C)
-    # minor symmetries of the full tensor
-    assert np.allclose(T, T.transpose(1, 0, 2, 3))
-    assert np.allclose(T, T.transpose(0, 1, 3, 2))
-    assert np.allclose(tensors.full_to_stiffness(T), C, atol=1e-12)
-
-
 def test_stiffness_full_tensor_contraction_matches_voigt():
     C = _random_stiffness(_rng(5))
-    T = tensors.stiffness_to_full(C)
+    T = _loop_to_full(C, 1.0)
     sig_full = np.einsum("ijkl,kl->ij", T, _EPS)
     # stress-like Voigt slots carry no factor on the shears
     assert np.allclose(sig_full[_SLOTS], C @ _EPS_VOIGT)
 
 
-def test_strain_map_full_round_trip():
-    rng = _rng(6)
-    A = _random_strain_map(rng)
-    T = tensors.strain_map_to_full(A)
-    assert np.allclose(T, T.transpose(1, 0, 2, 3))
-    assert np.allclose(T, T.transpose(0, 1, 3, 2))
-    assert np.allclose(tensors.full_to_strain_map(T), A, atol=1e-12)
-
-
 def test_strain_map_acts_on_engineering_strain():
     """A maps macro strain to local strain consistently in both pictures."""
     A = _random_strain_map(_rng(7))
-    T = tensors.strain_map_to_full(A)
+    T = _loop_to_full(A, 0.5)
     local_full = np.einsum("ijkl,kl->ij", T, _EPS)
     engineering = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
     assert np.allclose(engineering * local_full[_SLOTS], A @ _EPS_VOIGT)
@@ -188,7 +128,7 @@ def test_isotropic_stiffness_layout():
     assert np.isclose(C[3, 3], mu)
     assert np.allclose(C, C.T)
     # rotation invariance
-    T = tensors.stiffness_to_full(C)
+    T = _loop_to_full(C, 1.0)
     R = _random_rotation(_rng(14))
     assert np.allclose(_rotate(T, R), T, atol=1e-6 * E)
 
@@ -219,8 +159,7 @@ def test_isotropic_part_invariant_under_rotation():
     _, E0, nu0, a0 = tensors.isotropic_part(C)
     for _ in range(5):
         R = _random_rotation(rng)
-        C_rot = tensors.full_to_stiffness(
-            _rotate(tensors.stiffness_to_full(C), R))
+        C_rot = _loop_from_full(_rotate(_loop_to_full(C, 1.0), R), 1.0)
         _, E, nu, a = tensors.isotropic_part(C_rot)
         assert np.isclose(E, E0, rtol=1e-9)
         assert np.isclose(nu, nu0, rtol=1e-9)
@@ -247,7 +186,7 @@ def _transversely_isotropic(rng):
     """Random minor-symmetric tensor, no major symmetry, with the
     symmetry of a fiber about x3: averaged over the dihedral group of
     eight spins about x3 and the half turn that flips x3."""
-    T = tensors.strain_map_to_full(_random_strain_map(rng))
+    T = _loop_to_full(_random_strain_map(rng), 0.5)
     flip = _axis_rotation(0, np.pi)
     group = [_axis_rotation(2, 0.25 * np.pi * k) @ f
              for k in range(8) for f in (np.eye(3), flip)]
@@ -260,19 +199,48 @@ def _mwcnt_phase_tensors():
     C_p = tensors.isotropic_stiffness(spec.E_cnt, spec.nu_cnt)
     S = elastic.eshelby_prolate(spec.kappa, spec.nu_m)
     A = elastic.dilute_concentration(C_p, C_m, S)
-    return {"A_p": tensors.strain_map_to_full(A),
-            "CA_p": tensors.stiffness_to_full(C_p @ A)}
+    return {"A_p": A, "CA_p": C_p @ A}
 
 
-@pytest.mark.parametrize("name", ["A_p", "CA_p", "random"])
-def test_isotropic_projection_is_uniform_fiber_average(name):
+@pytest.mark.parametrize("name, r", [("A_p", 2), ("CA_p", 1), ("random", 2)],
+                         ids=["A_p", "CA_p", "random"])
+def test_isotropic_projection_is_uniform_fiber_average(name, r):
     """The closed form equals the quadrature over fiber directions for
-    tensors transversely isotropic about the fiber axis."""
+    tensors transversely isotropic about the fiber axis; r is the
+    shear-row factor of the 6x6 (2 for a strain map, 1 for a
+    stiffness)."""
     if name == "random":
         T = _transversely_isotropic(_rng(15))
         assert not np.allclose(T, T.transpose(2, 3, 0, 1))
+        M = _loop_from_full(T, r)
     else:
-        T = _mwcnt_phase_tensors()[name]
+        M = _mwcnt_phase_tensors()[name]
+        T = _loop_to_full(M, 1.0 / r)
     want = _fiber_average(T)
-    got = tensors.isotropic_projection(T)
+    got = _loop_to_full(tensors.isotropic_projection(M, r), 1.0 / r)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# isotropic projectors J = d_ij d_kl / 3 and K = I_sym - J
+_DELTA = np.eye(3)
+_J = np.einsum("ij,kl->ijkl", _DELTA, _DELTA) / 3.0
+_K = 0.5 * (np.einsum("ik,jl->ijkl", _DELTA, _DELTA)
+            + np.einsum("il,jk->ijkl", _DELTA, _DELTA)) - _J
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_isotropic_projection_equals_projector_formula(seed):
+    """The two invariants read off the 6x6 give the full-tensor
+    projection 3 alpha J + beta K, alpha = T_iijj / 9 and
+    beta = (T_ijij - 3 alpha) / 5, on a stiffness and on a strain map
+    without major symmetry."""
+    rng = _rng(200 + seed)
+    A = _random_strain_map(rng)
+    assert not np.allclose(A, A.T)
+    for M, r in ((_random_stiffness(rng), 1), (A, 2)):
+        T = _loop_to_full(M, 1.0 / r)
+        alpha = np.einsum("iijj->", T) / 9.0
+        beta = (np.einsum("ijij->", T) - 3.0 * alpha) / 5.0
+        want = _loop_from_full(3.0 * alpha * _J + beta * _K, r)
+        got = tensors.isotropic_projection(M, r)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
