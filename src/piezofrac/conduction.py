@@ -13,7 +13,11 @@ The orientation moment and the percolation-onset pair integral use
 fixed Gauss-Legendre rules.  Their nodes, weights and fixed trigonometric
 factors (among them the sines and cosines of both node grids) are built
 once, at import, as read-only module arrays; an evaluation only computes
-the strained density `_strained_density` on them.
+the strained density `_strained_density` on them.  Both depend on the
+principal stretches alone, so both are memoized on the stretch tuple
+(`_pair_integral`, and `_second_moment`, whose 3x3 is read-only): the
+piezoresistive finite differences of every material card strain the
+same four states, and only the first card evaluates them.
 
 All inputs are SI except where an eV argument is named as such.
 """
@@ -232,13 +236,18 @@ def percolation_threshold(s, stretches=(1.0, 1.0, 1.0)):
     return np.pi / (5.77 * s * I)
 
 
+@lru_cache(maxsize=256)
 def _second_moment(stretches):
-    """<m x m> of the fiber axis under the normalized strained density."""
+    """<m x m> of the fiber axis under the normalized strained density.
+
+    Read-only, since every caller with the same stretches shares it.
+    """
     wt = _MOMENT_WEIGHT * _strained_density(
         *_checked_stretches(stretches),
         _MOMENT_SIN1, _MOMENT_COS1, _MOMENT_SIN2, _MOMENT_COS2)
     wt = wt / np.sum(wt)
-    return np.einsum("iab,jab,ab->ij", _MOMENT_AXES, _MOMENT_AXES, wt)
+    return _read_only(
+        np.einsum("iab,jab,ab->ij", _MOMENT_AXES, _MOMENT_AXES, wt))[0]
 
 
 def _channel_tensor(sig_L, sig_T, S11, f_eff, sigma_m, M2):
@@ -263,30 +272,32 @@ def effective_conductivity(spec, strain=None):
     The result is symmetric positive definite; for the virgin state it
     is isotropic.
     """
+    # the principal stretches stay Python floats: they key the onset and
+    # moment caches, and a 3-vector is cheaper to test without numpy
     if strain is None:
-        lam = np.ones(3)
+        lam = (1.0, 1.0, 1.0)
         V = np.eye(3)
     else:
         strain = np.asarray(strain, dtype=float)
         if strain.shape != (3, 3):
             raise ValueError(f"expected a 3x3 strain, got shape {strain.shape}")
         ev, V = np.linalg.eigh(strain)
-        lam = 1.0 + ev
-        if np.min(lam) <= 0.0:
+        lam = tuple(1.0 + v for v in ev.tolist())
+        if min(lam) <= 0.0:
             raise ValueError("deformation inverts the volume")
 
     sigma_m = spec.sigma_m
-    f_p = spec.f_p0 / float(np.prod(lam))
+    f_p = spec.f_p0 / (lam[0] * lam[1] * lam[2])
     if not 0.0 <= f_p < 1.0:
         raise ValueError(f"strained filler fraction outside [0, 1): {f_p}")
     if f_p == 0.0:
         return sigma_m * np.eye(3)
 
     s = spec.kappa
-    f_c = percolation_threshold(s, tuple(lam))
+    f_c = percolation_threshold(s, lam)
     xi = percolated_fraction(f_p, f_c)
 
-    deformed = strain is not None and bool(np.any(np.abs(lam - 1.0) > 1e-14))
+    deformed = strain is not None and any(abs(v - 1.0) > 1e-14 for v in lam)
     M2 = _second_moment(lam) if deformed else np.eye(3) / 3.0
 
     # hopping between isolated fibers at the cutoff distance, and the

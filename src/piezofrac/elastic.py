@@ -7,8 +7,12 @@ common aspect ratio, oriented with a uniform density.  That orientation
 average is computed in closed form: each phase's concentration tensors
 are transversely isotropic about the fiber axis, so their uniform
 average is exactly their isotropic projection, read off the 6x6 Voigt
-matrices.  The fracture-energy model adds the work of fiber pull-out
-and rupture across a bridged crack to the matrix toughness.
+matrices.  Those averages depend on the fiber shape, the matrix and the
+phase alone, not on the filler fraction, so `_phase_averages` memoizes
+them, read-only, on (kappa, E_m, nu_m, E_phase, nu_phase): the cards of
+a filler-fraction sweep at one aspect ratio share them.  The
+fracture-energy model adds the work of fiber pull-out and rupture
+across a bridged crack to the matrix toughness.
 
 All inputs are SI.
 """
@@ -16,6 +20,7 @@ All inputs are SI.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate, optimize
@@ -137,6 +142,29 @@ def _phases_match(C_a, C_b):
         np.abs(C_a - C_b) <= atol + 1e-12 * np.abs(C_b)))
 
 
+@lru_cache(maxsize=256)
+def _phase_averages(kappa, E_m, nu_m, E, nu):
+    """Orientation averages of A and C A for one phase of a fiber composite.
+
+    The phase (E, nu) sits in the matrix (E_m, nu_m) with the Eshelby
+    tensor of a prolate spheroid of aspect ratio kappa, and A is its
+    dilute strain concentration; a phase with no contrast concentrates
+    strain 1:1.  The pair is read-only, since every caller with the
+    same key shares it.
+    """
+    C_m = tensors.isotropic_stiffness(E_m, nu_m)
+    C_phase = tensors.isotropic_stiffness(E, nu)
+    if _phases_match(C_phase, C_m):
+        out = (np.eye(6), C_m)
+    else:
+        A = dilute_concentration(C_phase, C_m, eshelby_prolate(kappa, nu_m))
+        out = (tensors.isotropic_projection(A, 2),
+               tensors.isotropic_projection(C_phase @ A, 1))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def effective_stiffness(spec):
     """Effective 6x6 stiffness of the three-phase fiber composite.
 
@@ -156,9 +184,10 @@ def effective_stiffness(spec):
     if spec.f_p0 == 0.0:
         return C_m
     # coating takes the matrix Poisson ratio; fiber material is isotropic
-    C_i = tensors.isotropic_stiffness(spec.E_i, spec.nu_m)
-    C_p = tensors.isotropic_stiffness(spec.E_cnt, spec.nu_cnt)
-    if _phases_match(C_i, C_m) and _phases_match(C_p, C_m):
+    coating = (spec.E_i, spec.nu_m)
+    fiber = (spec.E_cnt, spec.nu_cnt)
+    if all(_phases_match(tensors.isotropic_stiffness(*phase), C_m)
+           for phase in (coating, fiber)):
         return C_m
 
     f_p = spec.f_p0
@@ -168,18 +197,14 @@ def effective_stiffness(spec):
         raise ValueError(
             f"matrix fraction not positive (f_p={f_p}, f_i={f_i:.4f})")
 
-    S = eshelby_prolate(spec.kappa, spec.nu_m)
-
-    def phase_averages(C_phase, weight):
-        # a phase with no contrast (or no volume) concentrates strain 1:1
-        if weight == 0.0 or _phases_match(C_phase, C_m):
+    def averages(phase, weight):
+        # a phase with no volume concentrates strain 1:1
+        if weight == 0.0:
             return np.eye(6), C_m
-        A = dilute_concentration(C_phase, C_m, S)
-        return (tensors.isotropic_projection(A, 2),
-                tensors.isotropic_projection(C_phase @ A, 1))
+        return _phase_averages(spec.kappa, spec.E_m, spec.nu_m, *phase)
 
-    A_i_avg, CA_i_avg = phase_averages(C_i, f_i)
-    A_p_avg, CA_p_avg = phase_averages(C_p, f_p)
+    A_i_avg, CA_i_avg = averages(coating, f_i)
+    A_p_avg, CA_p_avg = averages(fiber, f_p)
 
     N = f_m * np.eye(6) + f_i * A_i_avg + f_p * A_p_avg
     C = (f_m * C_m + f_i * CA_i_avg + f_p * CA_p_avg) @ np.linalg.inv(N)

@@ -7,10 +7,12 @@ solid cylinder; equivariance and symmetry properties of the strained
 conductivity.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from piezofrac import conduction, materials, mesh as meshing, solver
+from piezofrac import conduction, elastic, materials, mesh as meshing, solver
 
 
 def _random_rotation(seed):
@@ -206,14 +208,40 @@ def test_quadrature_rules_are_read_only():
             arr[(0,) * arr.ndim] = 0.0
 
 
+def test_second_moment_is_read_only():
+    M2 = conduction._second_moment((1.0, 1.0, 1.0 + 1e-5))
+    assert not M2.flags.writeable
+    with pytest.raises(ValueError):
+        M2[0, 0] = 0.0
+
+
+def _clear_caches():
+    materials.derive_properties.cache_clear()
+    conduction._pair_integral.cache_clear()
+    conduction._second_moment.cache_clear()
+    elastic._phase_averages.cache_clear()
+
+
 def test_property_card_builds_no_quadrature(panel, monkeypatch):
     def refuse(n):
         raise AssertionError(f"leggauss({n}) called per evaluation")
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
-    conduction._pair_integral.cache_clear()
+    _clear_caches()
     props = materials.derive_properties(panel.with_filler(0.0137))
     assert props.rho0 > 0.0 and props.f_c > 0.0
+
+
+def test_property_cards_independent_of_derivation_order(panel):
+    """The 28 `props` cards from cold caches, forward and reversed."""
+    cards = [replace(panel, L_cnt=ar * panel.D_cnt).with_filler(f_p)
+             for ar in (50.0, 100.0, 310.0, 1000.0)
+             for f_p in (0.0, 0.005, 0.01, 0.02, 0.03, 0.04, 0.05)]
+    _clear_caches()
+    forward = [repr(materials.derive_properties(c)) for c in cards]
+    _clear_caches()
+    backward = [repr(materials.derive_properties(c)) for c in cards[::-1]]
+    assert backward[::-1] == forward
 
 
 def test_percolation_onset_product_constant_across_aspect_ratios():

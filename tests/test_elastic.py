@@ -269,6 +269,31 @@ def test_effective_constants_regression(panel):
     assert np.isclose(nu, 0.2709069028540671, rtol=1e-9)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("E_i", 1.5e9), ("E_cnt", 300e9), ("nu_cnt", 0.2), ("E_m", 3.1e9),
+    ("nu_m", 0.33)])
+def test_effective_stiffness_warm_equals_cold_per_phase_field(panel, field,
+                                                             value):
+    """Each field of the phase-average key reaches the cache key."""
+    spec = replace(panel, **{field: value})
+    elastic._phase_averages.cache_clear()
+    base = elastic.effective_stiffness(panel)
+    warm = elastic.effective_stiffness(spec)
+    elastic._phase_averages.cache_clear()
+    cold = elastic.effective_stiffness(spec)
+    assert np.array_equal(warm, cold)
+    assert not np.array_equal(warm, base)
+
+
+def test_phase_averages_are_read_only(panel):
+    for E, nu in ((panel.E_cnt, panel.nu_cnt), (panel.E_m, panel.nu_m)):
+        for arr in elastic._phase_averages(panel.kappa, panel.E_m,
+                                           panel.nu_m, E, nu):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+
+
 def test_effective_stiffness_rejects_overfilled_interphase(panel):
     # a thick coating at high filler content exhausts the matrix
     spec = replace(panel, t_i=5e-7, f_p0=0.09)
