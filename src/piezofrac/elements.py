@@ -44,6 +44,7 @@ class JacobianError(ValueError):
 class ElementTables:
     """Precomputed shape data of all active elements at all Gauss points.
 
+    ids: (ne,) mesh element id of each row (the active elements).
     conn: (ne, nper) node ids of active elements.
     N: (ng, nper) shape values (reference, element independent).
     dNdx: (ne, ng, nper, dim) physical gradients.
@@ -52,6 +53,7 @@ class ElementTables:
     w: (ne, ng) integration weights detJ * gauss * thickness.
     """
 
+    ids: np.ndarray
     conn: np.ndarray
     N: np.ndarray
     dNdx: np.ndarray
@@ -70,7 +72,8 @@ class ElementTables:
 def element_tables(mesh):
     """Vectorized shape-function tables over the active elements."""
     dim = mesh.dim
-    conn = mesh.elems[mesh.active]
+    ids = np.flatnonzero(mesh.active)
+    conn = mesh.elems[ids]
     coords = mesh.nodes[conn]  # (ne, nper, dim)
     _, gp, gw = _reference(dim)
     ng, nper = len(gp), conn.shape[1]
@@ -86,9 +89,8 @@ def element_tables(mesh):
     bad = np.argwhere(detJ <= 0.0)
     if bad.size:
         e, g = bad[0]
-        active_ids = np.flatnonzero(mesh.active)
         raise JacobianError(
-            f"element {active_ids[e]} has non-positive Jacobian "
+            f"element {ids[e]} has non-positive Jacobian "
             f"{detJ[e, g]:.3e} at Gauss point {g}")
     Jinv = np.linalg.inv(J)
     dNdx = np.einsum("gaj,egji->egai", dN_ref, Jinv)
@@ -102,7 +104,7 @@ def element_tables(mesh):
     for row, (i, j) in enumerate(pairs):
         B[:, :, row, i::dim] = dNdx[..., j]
         B[:, :, row, j::dim] = dNdx[..., i]
-    return ElementTables(conn=conn, N=N, dNdx=dNdx, B=B, w=w)
+    return ElementTables(ids=ids, conn=conn, N=N, dNdx=dNdx, B=B, w=w)
 
 
 class DofMap:
@@ -130,10 +132,13 @@ class DofMap:
         return tuple(x[sl] for sl in self.slices)
 
     def u_dofs(self, nodes, component=None):
+        """Displacement DOFs of a node array of any shape: one per node
+        for a `component`, else each node's dim DOFs along the last axis
+        (a node list gives a flat list, `conn` the element DOF table)."""
         nodes = np.asarray(nodes, dtype=np.int64)
         if component is None:
-            return (nodes[:, None] * self.dim
-                    + np.arange(self.dim)[None, :]).ravel()
+            dofs = nodes[..., None] * self.dim + np.arange(self.dim)
+            return dofs.reshape(nodes.shape[:-1] + (-1,))
         return nodes * self.dim + component
 
     def phi_dofs(self, nodes):

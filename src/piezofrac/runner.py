@@ -178,7 +178,7 @@ def build_case(sc, rng=None):
         return np.intersect1d(m.set_nodes(name), live)
 
     con = elements.Constraints(dm)
-    con.fix("pin", dm.u_dofs(face(pin_face)).ravel())
+    con.fix("pin", dm.u_dofs(face(pin_face)))
     con.fix("pull", dm.u_dofs(face(pull_face), axis))
     con.fix("drive", dm.phi_dofs(face(el["drive_face"])),
             value=el["voltage"])
@@ -203,15 +203,20 @@ def initial_state(case, sc):
 # ------------------------------------------------------------ artifacts
 
 
-def write_curves(records, path):
-    """Curve CSV (RFC 4180, fixed column order, header mandatory)."""
+def _write_csv(path, header, rows):
+    """RFC 4180 CSV with a header row; floats round-trip as %.17g."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(CURVE_HEADER)
-        for r in records:
-            w.writerow([r.step, f"{r.u_applied:.17g}", f"{r.force:.17g}",
-                        f"{r.current:.17g}", f"{r.resistance:.17g}",
-                        f"{r.rel_resistance:.17g}", f"{r.max_d:.17g}"])
+        w.writerow(header)
+        w.writerows([f"{v:.17g}" if isinstance(v, float) else v
+                     for v in row] for row in rows)
+
+
+def write_curves(records, path):
+    """Curve CSV (RFC 4180, fixed column order, header mandatory)."""
+    _write_csv(path, CURVE_HEADER,
+               ([r.step, r.u_applied, r.force, r.current, r.resistance,
+                 r.rel_resistance, r.max_d] for r in records))
 
 
 def export_fields(system, state, path):
@@ -325,11 +330,8 @@ def property_sweep(spec, f_p_grid, ar_grid, path=None):
 
     flags = _sweep_flags(rows, f_p_grid, ar_grid)
     if path is not None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(SWEEP_HEADER)
-            for r in rows:
-                w.writerow([f"{r[c]:.17g}" for c in SWEEP_HEADER])
+        _write_csv(path, SWEEP_HEADER,
+                   ([r[c] for c in SWEEP_HEADER] for r in rows))
     return rows, flags
 
 
@@ -396,21 +398,14 @@ def monte_carlo(sc, replicates=None, out_dir=None):
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "ensemble.csv", "w", encoding="utf-8",
-                  newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["replicate", "status", "peak force (N)",
-                        "fracture displacement (m)", "R0 (Ω)", "reason"])
-            for i, s in enumerate(summaries):
-                w.writerow([i, s.status, f"{s.peak_force:.17g}",
-                            f"{s.fracture_displacement:.17g}",
-                            f"{s.R0:.17g}", s.reason])
-        with open(out / "histogram.csv", "w", encoding="utf-8",
-                  newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["bin_left (m)", "bin_right (m)", "count"])
-            for i, c in enumerate(counts):
-                w.writerow([f"{edges[i]:.17g}", f"{edges[i + 1]:.17g}", c])
+        _write_csv(out / "ensemble.csv",
+                   ["replicate", "status", "peak force (N)",
+                    "fracture displacement (m)", "R0 (Ω)", "reason"],
+                   ([i, s.status, s.peak_force, s.fracture_displacement,
+                     s.R0, s.reason] for i, s in enumerate(summaries)))
+        _write_csv(out / "histogram.csv",
+                   ["bin_left (m)", "bin_right (m)", "count"],
+                   zip(edges[:-1], edges[1:], counts))
         _write_mean_curves(summaries, out / "mean_curves.csv")
     return summaries, (edges, counts)
 
@@ -427,10 +422,5 @@ def _write_mean_curves(summaries, path):
     cur = np.mean([s.curve("current")[:n] for s in ok], axis=0)
     rel = np.mean([np.minimum(s.curve("rel_resistance")[:n], 1e9)
                    for s in ok], axis=0)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["u_applied (m)", "mean force (N)", "mean current (A)",
-                    "mean ΔR/R0 (–)"])
-        for i in range(n):
-            w.writerow([f"{u[i]:.17g}", f"{force[i]:.17g}",
-                        f"{cur[i]:.17g}", f"{rel[i]:.17g}"])
+    _write_csv(path, ["u_applied (m)", "mean force (N)", "mean current (A)",
+                      "mean ΔR/R0 (–)"], zip(u, force, cur, rel))

@@ -9,9 +9,11 @@ each block (d depends only on H, u on d, phi on u and d), so one sparse
 LU pass d -> u -> phi solves it exactly; this is the history-field
 scheme of Miehe, Hofacker & Welschinger (CMAME 2010).  Each block solve
 assembles only its own block (`CoupledSystem.block`): its residual rows
-and their Jacobian, from one Gauss-point evaluation.  The history is
-advanced between steps, and a step that fails is bisected by
-`run_load_program`.
+and their Jacobian, from one Gauss-point evaluation of the current
+state (`CoupledSystem.gauss`).  A converged state is evaluated once
+more: that one evaluation gives the step record (the displacement rows
+at the pulled DOFs and the potential rows at the electrodes) and the
+history update.  A step that fails is bisected by `run_load_program`.
 """
 
 import math
@@ -106,10 +108,7 @@ class CoupledSystem:
         self.C = mat.stiffness(mesh.dim)
         self.CB = np.einsum("KL,egLA->egKA", self.C, t.B)
         self.lam44 = 0.5 * (mat.lam11 - mat.lam12)
-
-        dim = mesh.dim
-        self.edof_u = (t.conn[:, :, None] * dim
-                       + np.arange(dim)[None, None, :]).reshape(len(t.conn), -1)
+        self.edof_u = self.dofmap.u_dofs(t.conn)
         # (element DOFs in block numbering, slice of x) per field block
         self.blocks = tuple(zip((self.edof_u, t.conn, t.conn),
                                 self.dofmap.slices))
@@ -121,7 +120,8 @@ class CoupledSystem:
         return FieldState(np.zeros(self.dofmap.ndof),
                           np.zeros((t.n_elems, t.n_gauss)))
 
-    def _gauss(self, x):
+    def gauss(self, x):
+        """Gauss-point values of state x: (strain, d, grad phi, grad d)."""
         t = self.tables
         u, phi, d = self.dofmap.split(x)
         eps = np.einsum("egKA,eA->egK", t.B, u[self.edof_u])
@@ -179,22 +179,19 @@ class CoupledSystem:
 
     # ---------------------------------------------------------- assembly
 
-    def residual(self, x, H):
-        """Internal-force vector of all three blocks (full DOF layout)."""
-        return np.concatenate([self.block(k, x, H) for k in range(3)])
+    def block(self, k, g, H, jacobian=False):
+        """Residual rows of field block k, in block numbering.
 
-    def block(self, k, x, H, jacobian=False):
-        """Residual rows of field block k at state x, in block numbering.
-
-        k indexes the blocks in DOF order: 0 displacement, 1 potential,
-        2 damage.  With `jacobian` it returns (R_k, K_k), where K_k is
-        the sparse symmetric exact Jacobian of those rows in that
-        block's unknowns at frozen cross-field values, built from the
-        same Gauss-point data.
+        g is `gauss(x)` of the state.  k indexes the blocks in DOF
+        order: 0 displacement, 1 potential, 2 damage; only block 2
+        reads the history H.  With `jacobian` it returns (R_k, K_k),
+        where K_k is the sparse symmetric exact Jacobian of those rows
+        in that block's unknowns at frozen cross-field values, built
+        from the same Gauss-point data.
         """
         t, m = self.tables, self.mat
         w = t.w
-        eps, d_gp, gphi, gd = self._gauss(x)
+        eps, d_gp, gphi, gd = g
         if k == 0:
             wh = w * h1(d_gp, m.eps_reg)
             sig0 = np.einsum("KL,egL->egK", self.C, eps)
@@ -225,8 +222,7 @@ class CoupledSystem:
         n = sl.stop - sl.start
         R = np.bincount(edof.ravel(), R_e.ravel(), minlength=n)
         if not np.isfinite(R).all():
-            bad = [int(e) for e in
-                   np.flatnonzero(~np.isfinite(R_e).all(axis=1))[:5]]
+            bad = t.ids[~np.isfinite(R_e).all(axis=1)][:5].tolist()
             raise StepFailure(f"non-finite residual from active elements {bad}")
         if not jacobian:
             return R
@@ -273,12 +269,12 @@ def solve_step(system, state, constraints, d_floor=None):
         xk = x[sl]
         f = free[(free >= sl.start) & (free < sl.stop)] - sl.start
         if f.size:
-            R, K = system.block(k, x, H, jacobian=True)
+            R, K = system.block(k, system.gauss(x), H, jacobian=True)
             xk[f] -= splu(K[f][:, f]).solve(R[f])
             solves += 1
         if k == 2:
             _apply_damage_bounds(xk, d_floor)
-    return FieldState(x, H.copy()), solves
+    return FieldState(x, H), solves
 
 
 # largest per-step damage decrease projected away rather than failed
@@ -305,10 +301,13 @@ def _apply_damage_bounds(d, d_floor):
         np.maximum(d, d_floor, out=d)
 
 
-def advance_history(system, state):
-    """Irreversible history update H <- max(H, psi0) from the current strain."""
-    eps, _, _, _ = system._gauss(state.x)
-    np.maximum(state.H, system.psi0(eps), out=state.H)
+def advance_history(system, state, eps):
+    """Irreversible history update H <- max(H, psi0(eps)).
+
+    eps is the Gauss-point strain of `state.x`.  H is replaced, not
+    updated in place, so states that share the previous H keep it.
+    """
+    state.H = np.maximum(state.H, system.psi0(eps))
     return state
 
 
@@ -351,23 +350,46 @@ def run_load_program(system, constraints, load_groups, load_values,
     converged state is returned.
     """
     state = (initial or system.empty_state()).copy()
+    # the displacement block starts at DOF 0, so its rows are the load
+    # DOFs; the electrode rows are taken in the potential block's
     load_dofs = constraints.group_dofs(load_groups[0])
-    drive_dofs = constraints.group_dofs(drive_group)
-    ground_dofs = constraints.group_dofs(ground_group)
+    off_phi = system.dofmap.off_phi
+    drive_rows = constraints.group_dofs(drive_group) - off_phi
+    ground_rows = constraints.group_dofs(ground_group) - off_phi
     voltage = constraints.value(drive_group) - constraints.value(ground_group)
 
     records = []
 
     def solve_at(value, step_index, cutbacks):
-        for g in load_groups:
-            constraints.set_value(g, value)
+        for name in load_groups:
+            constraints.set_value(name, value)
         new, _ = solve_step(system, state, constraints,
                             d_floor=system.dofmap.split(state.x)[2])
-        R = system.residual(new.x, new.H)
-        rec = _make_record(system, new, R, value, step_index, load_dofs,
-                           drive_dofs, ground_dofs, voltage, cutbacks,
-                           records[0].resistance if records else None)
-        advance_history(system, new)
+        # one evaluation of the converged state serves the reaction
+        # force, the electrode currents and the history update; blocks
+        # 0 and 1 do not read H
+        g = system.gauss(new.x)
+        force = float(np.sum(system.block(0, g, new.H)[load_dofs]))
+        R_phi = system.block(1, g, new.H)
+        i_drive = float(np.sum(R_phi[drive_rows]))
+        i_ground = float(np.sum(R_phi[ground_rows]))
+        current = max(abs(i_drive), abs(i_ground))
+        resistance = abs(voltage) / current if current > 0.0 else math.inf
+        r0 = records[0].resistance if records else None
+        if r0 is None or r0 == 0.0 or not math.isfinite(r0):
+            rel = 0.0
+        elif not math.isfinite(resistance):
+            rel = math.inf
+        else:
+            rel = (resistance - r0) / r0
+        d = system.dofmap.split(new.x)[2]
+        rec = StepRecord(
+            step=step_index, u_applied=float(value), force=force,
+            current=current, resistance=resistance, rel_resistance=rel,
+            max_d=float(d.max()) if d.size else 0.0,
+            charge_mismatch=abs(i_drive + i_ground) / max(current, 1e-300),
+            cutbacks=cutbacks)
+        advance_history(system, new, g[0])
         return rec, new
 
     # unstrained baseline (R0) before the program
@@ -403,27 +425,6 @@ def run_load_program(system, constraints, load_groups, load_values,
     return RunResult(records, state)
 
 
-def _make_record(system, state, R, value, step, load_dofs,
-                 drive_dofs, ground_dofs, voltage, cutbacks, r0):
-    i_drive = float(np.sum(R[drive_dofs]))
-    i_ground = float(np.sum(R[ground_dofs]))
-    current = max(abs(i_drive), abs(i_ground))
-    mismatch = abs(i_drive + i_ground) / max(current, 1e-300)
-    force = float(np.sum(R[load_dofs]))
-    resistance = abs(voltage) / current if current > 0.0 else math.inf
-    if r0 is None or r0 == 0.0 or not math.isfinite(r0):
-        rel = 0.0
-    elif not math.isfinite(resistance):
-        rel = math.inf
-    else:
-        rel = (resistance - r0) / r0
-    d = system.dofmap.split(state.x)[2]
-    return StepRecord(step=step, u_applied=float(value), force=force,
-                      current=current, resistance=resistance,
-                      rel_resistance=rel, max_d=float(d.max()) if d.size else 0.0,
-                      charge_mismatch=mismatch, cutbacks=cutbacks)
-
-
 def seed_history(system, element_ids, value):
     """Initial-condition crack: raise H on the given active elements.
 
@@ -432,12 +433,8 @@ def seed_history(system, element_ids, value):
     """
     t = system.tables
     H = np.zeros((t.n_elems, t.n_gauss))
-    if len(element_ids):
-        active_ids = np.flatnonzero(system.mesh.active)
-        lookup = -np.ones(system.mesh.active.size, dtype=np.int64)
-        lookup[active_ids] = np.arange(active_ids.size)
-        rows = lookup[np.asarray(element_ids, dtype=np.int64)]
-        if np.any(rows < 0):
-            raise ValueError("history seed on an inactive element")
-        H[rows] = value
+    ids = np.asarray(element_ids, dtype=np.int64)
+    if not np.isin(ids, t.ids).all():
+        raise ValueError("history seed on an inactive element")
+    H[np.searchsorted(t.ids, ids)] = value
     return H

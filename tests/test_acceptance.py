@@ -5,9 +5,11 @@ quantities next to the wired-in tolerance, then asserts.  The heavier
 scenario runs are shared through module fixtures.
 """
 
+import json
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,7 +135,7 @@ def test_03_homogeneous_damage_closed_form():
     state = sys_.empty_state()
     for _ in range(2):
         state, _ = solver.solve_step(sys_, state, con)
-        solver.advance_history(sys_, state)
+        solver.advance_history(sys_, state, sys_.gauss(state.x)[0])
     dev = float(np.abs(state.x[dm.off_d:] - 0.5).max())
     wall = time.perf_counter() - t0
     ok = dev <= 1e-6 and wall < 1.0
@@ -162,6 +164,11 @@ def test_04_jacobians_match_finite_differences():
         sys_ = solver.CoupledSystem(m, mat)
         dm = sys_.dofmap
         n = m.n_nodes
+
+        def residual(x, H):
+            g = sys_.gauss(x)
+            return np.concatenate([sys_.block(k, g, H) for k in range(3)])
+
         for _ in range(9):
             x = np.zeros(dm.ndof)
             x[:dm.off_phi] = 1e-4 * rng.standard_normal(dm.off_phi)
@@ -171,15 +178,15 @@ def test_04_jacobians_match_finite_differences():
             spans = ((0, dm.off_phi), (dm.off_phi, dm.off_d),
                      (dm.off_d, dm.ndof))
             for k, (lo, hi) in enumerate(spans):
-                K = sys_.block(k, x, H, jacobian=True)[1]
+                K = sys_.block(k, sys_.gauss(x), H, jacobian=True)[1]
                 e = rng.standard_normal(hi - lo)
                 e /= np.linalg.norm(e)
                 step = 1e-6 * max(float(np.abs(x[lo:hi]).max()), 1e-3)
                 xp, xm = x.copy(), x.copy()
                 xp[lo:hi] += step * e
                 xm[lo:hi] -= step * e
-                fd = (sys_.residual(xp, H)
-                      - sys_.residual(xm, H))[lo:hi] / (2.0 * step)
+                fd = (residual(xp, H)
+                      - residual(xm, H))[lo:hi] / (2.0 * step)
                 an = K @ e
                 worst = max(worst, float(np.linalg.norm(fd - an)
                                          / np.linalg.norm(an)))
@@ -332,3 +339,58 @@ def test_12_cylinder_nucleation_to_interruption(cylinder_run):
                    f"final relative resistance {rel[-1]:.1e} "
                    f"(interrupted: {interrupted})")
     assert ok, line
+
+
+# ------------------------------------------------------- golden records
+
+GOLDEN = Path(__file__).with_name("golden_records.json")
+GOLDEN_COLUMNS = ("u_applied", "force", "current", "resistance",
+                  "rel_resistance", "max_d")
+
+
+def _golden_runs(validation_run, fp4_run, angle_runs, defect_ensemble,
+                 cylinder_run):
+    """Every acceptance fixture's records, keyed by run name."""
+    runs = {"validation": validation_run[0], "plate_fp4": fp4_run[0]}
+    runs.update((f"plate_angle_{a:g}", s) for a, s in angle_runs.items())
+    runs.update((f"defects_{i:02d}", s)
+                for i, s in enumerate(defect_ensemble[0]))
+    runs["cylinder"] = runner.RunSummary("ok", "", 0.0,
+                                         cylinder_run[1].records)
+    return {name: {"fracture_displacement": s.fracture_displacement,
+                   "cutbacks": [r.cutbacks for r in s.records],
+                   **{c: s.curve(c).tolist() for c in GOLDEN_COLUMNS}}
+            for name, s in runs.items()}
+
+
+def _same(a, b, tol=0.0):
+    return a == b or abs(a - b) <= tol or (math.isnan(a) and math.isnan(b))
+
+
+def test_records_match_golden(validation_run, fp4_run, angle_runs,
+                              defect_ensemble, cylinder_run):
+    # step counts, cutbacks and fracture displacements exactly; curves
+    # within 1e-9 of each column's largest finite magnitude.  A missing
+    # file is recorded from this run, and the test fails so that the
+    # recording is never mistaken for a comparison.
+    runs = _golden_runs(validation_run, fp4_run, angle_runs,
+                        defect_ensemble, cylinder_run)
+    if not GOLDEN.is_file():
+        GOLDEN.write_text(json.dumps(runs, indent=1) + "\n",
+                          encoding="utf-8")
+        pytest.fail(f"recorded {GOLDEN.name}; run again to compare")
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert list(runs) == list(golden)
+    for name, want in golden.items():
+        got = runs[name]
+        assert got["cutbacks"] == want["cutbacks"], name
+        assert _same(got["fracture_displacement"],
+                     want["fracture_displacement"]), name
+        for c in GOLDEN_COLUMNS:
+            tol = 1e-9 * max((abs(v) for v in want[c] if math.isfinite(v)),
+                             default=0.0)
+            bad = [i for i, (a, b) in enumerate(zip(got[c], want[c]))
+                   if not _same(a, b, tol)]
+            assert not bad, (f"{name} {c}: {len(bad)} values off, first at "
+                             f"step {bad[0]} ({got[c][bad[0]]!r} vs "
+                             f"{want[c][bad[0]]!r})")

@@ -16,6 +16,16 @@ def _mat(**kw):
     return solver.MaterialPoint(**{**MAT, **kw})
 
 
+def _residual(sys_, x, H):
+    """All three blocks' residual rows at state x, in full DOF layout."""
+    g = sys_.gauss(x)
+    return np.concatenate([sys_.block(k, g, H) for k in range(3)])
+
+
+def _advance(sys_, state):
+    return solver.advance_history(sys_, state, sys_.gauss(state.x)[0])
+
+
 def _resistivity(mat, voigt):
     """Strained resistivity rho0 (I + r) of the linearized law, written
     out: the shear sensitivity (lam11 - lam12)/2 acts on engineering
@@ -122,7 +132,7 @@ def test_patch_test_distorted_quads():
     exx, eyy, gxy = 1e-3, -4e-4, 3e-4
     m, sys_, con = _uniform_strain_system(exx, eyy, gxy)
     state, _ = solver.solve_step(sys_, sys_.empty_state(), con)
-    eps, _, _, _ = sys_._gauss(state.x)
+    eps, _, _, _ = sys_.gauss(state.x)
     target = np.array([exx, eyy, gxy])
     assert np.abs(eps - target).max() / np.abs(target).max() < 1e-10
 
@@ -131,18 +141,23 @@ def test_zero_fields_zero_residual():
     m = meshing.structured_mesh((1.0, 1.0), (2, 2))
     sys_ = solver.CoupledSystem(m, _mat())
     st = sys_.empty_state()
-    R = sys_.residual(st.x, st.H)
+    R = _residual(sys_, st.x, st.H)
     assert np.abs(R).max() == 0.0
 
 
 def test_non_finite_residual_names_its_element():
-    m = meshing.structured_mesh((1.0, 1.0), (2, 2))
-    sys_ = solver.CoupledSystem(m, _mat())
-    st = sys_.empty_state()
-    st.H[3, 0] = np.nan
-    with pytest.raises(solver.StepFailure,
-                       match=r"non-finite residual from active elements \[3\]$"):
-        sys_.residual(st.x, st.H)
+    # the message names the mesh element, not the history row: with
+    # element 0 inactive, row 2 is mesh element 3
+    for inactive, row in ((None, 3), (0, 2)):
+        m = meshing.structured_mesh((1.0, 1.0), (2, 2))
+        if inactive is not None:
+            m.active[inactive] = False
+        sys_ = solver.CoupledSystem(m, _mat())
+        st = sys_.empty_state()
+        st.H[row, 0] = np.nan
+        with pytest.raises(solver.StepFailure, match=r"non-finite "
+                           r"residual from active elements \[3\]$"):
+            _residual(sys_, st.x, st.H)
 
 
 def test_uniform_potential_zero_charge_residual():
@@ -151,7 +166,7 @@ def test_uniform_potential_zero_charge_residual():
     dm = sys_.dofmap
     x = np.zeros(dm.ndof)
     x[dm.off_phi:dm.off_d] = 4.2
-    R = sys_.residual(x, np.zeros_like(sys_.tables.w))
+    R = _residual(sys_, x, np.zeros_like(sys_.tables.w))
     assert np.abs(R[dm.off_phi:dm.off_d]).max() < 1e-12
 
 
@@ -165,7 +180,7 @@ def test_single_element_stiffness_hand_quadrature():
     rng = np.random.default_rng(3)
     x = np.zeros(sys_.dofmap.ndof)
     x[:8] = 1e-4 * rng.standard_normal(8)
-    R = sys_.residual(x, np.zeros((1, 4)))
+    R = _residual(sys_, x, np.zeros((1, 4)))
 
     ref = 2.0 * m.nodes - 1.0   # unit square -> reference square
     C = mat.stiffness(2)
@@ -243,7 +258,7 @@ def test_homogeneous_damage_exact():
     state = sys_.empty_state()
     for _ in range(2):   # load, then hold so the history picks it up
         state, _ = solver.solve_step(sys_, state, con)
-        solver.advance_history(sys_, state)
+        _advance(sys_, state)
     d = state.x[dm.off_d:]
     assert np.abs(d - 0.5).max() < 1e-6
 
@@ -262,18 +277,19 @@ def test_block_jacobians_match_finite_differences():
     H = rng.uniform(0.0, 1e4, sys_.tables.w.shape)
     spans = ((0, dm.off_phi), (dm.off_phi, dm.off_d), (dm.off_d, dm.ndof))
     for k, (lo, hi) in enumerate(spans):
-        K = sys_.block(k, x, H, jacobian=True)[1]
+        K = sys_.block(k, sys_.gauss(x), H, jacobian=True)[1]
         e = rng.standard_normal(hi - lo)
         e /= np.linalg.norm(e)
         step = 1e-6 * max(np.abs(x[lo:hi]).max(), 1e-3)
         xp, xm = x.copy(), x.copy()
         xp[lo:hi] += step * e
         xm[lo:hi] -= step * e
-        fd = (sys_.residual(xp, H) - sys_.residual(xm, H))[lo:hi] / (2 * step)
+        fd = (_residual(sys_, xp, H)
+              - _residual(sys_, xm, H))[lo:hi] / (2 * step)
         an = K @ e
         assert np.linalg.norm(fd - an) / np.linalg.norm(an) < 1e-6
     with pytest.raises(ValueError, match="block index"):
-        sys_.block(3, x, H)
+        sys_.block(3, sys_.gauss(x), H)
 
 
 def test_history_monotone():
@@ -283,11 +299,11 @@ def test_history_monotone():
     rng = np.random.default_rng(1)
     state.x[:sys_.dofmap.off_phi] = 1e-3 * rng.standard_normal(
         sys_.dofmap.off_phi)
-    solver.advance_history(sys_, state)
+    _advance(sys_, state)
     H1 = state.H.copy()
     assert np.all(H1 >= 0.0) and H1.max() > 0.0
     state.x[:sys_.dofmap.off_phi] *= 0.1   # unload
-    solver.advance_history(sys_, state)
+    _advance(sys_, state)
     assert np.array_equal(state.H, H1)
 
 
@@ -307,7 +323,7 @@ def test_damage_irreversible_on_unload():
     for val in (u_load, u_load, 0.0):
         con.set_value("pull", val)
         state, _ = solver.solve_step(sys_, state, con, d_floor=d_prev)
-        solver.advance_history(sys_, state)
+        _advance(sys_, state)
         d_now = state.x[dm.off_d:]
         assert np.all(d_now >= d_prev - 1e-15)
         d_prev = d_now.copy()
@@ -326,7 +342,7 @@ def test_converged_step_is_exact():
     con.fix("ground", dm.phi_dofs(m.set_nodes("xmax")))
     state, its = solver.solve_step(sys_, sys_.empty_state(), con)
     fixed, vals, free = con.build()
-    R = sys_.residual(state.x, state.H)
+    R = _residual(sys_, state.x, state.H)
     scale = np.linalg.norm(R)
     assert np.linalg.norm(R[free]) < 1e-11 * scale
     assert its >= 1
@@ -526,13 +542,52 @@ def test_run_deterministic():
         assert ra == rb   # bit-identical dataclass fields
 
 
-def test_seed_history_placement():
-    m = meshing.structured_mesh((0.1, 0.2), (10, 20))
+def test_converged_step_evaluated_once_for_record_and_history(monkeypatch):
+    # each converged step: one Gauss evaluation per block solve (d, u,
+    # phi), then one evaluation of the converged state that feeds the
+    # record's displacement and potential rows and the history update;
+    # the damage rows are never assembled for the record
+    m = meshing.structured_mesh((0.05, 0.013), (10, 4), thickness=0.005)
     sys_ = solver.CoupledSystem(m, _mat())
-    H = solver.seed_history(sys_, [3, 7], 1e5)
-    assert H.shape == sys_.tables.w.shape
-    assert np.all(H[[3, 7]] == 1e5)
-    assert H.sum() == pytest.approx(2 * 4 * 1e5)
+    dm = sys_.dofmap
+    con = elements.Constraints(dm)
+    con.fix("grip", dm.u_dofs(m.set_nodes("xmin")))
+    con.fix("pull", dm.u_dofs(m.set_nodes("xmax"), 0))
+    con.fix("drive", dm.phi_dofs(m.set_nodes("xmin")), value=1.7e-3)
+    con.fix("ground", dm.phi_dofs(m.set_nodes("xmax")))
+    gauss, block, calls = solver.CoupledSystem.gauss, \
+        solver.CoupledSystem.block, []
+
+    def counted_gauss(self, x):
+        calls.append("gauss")
+        return gauss(self, x)
+
+    def counted_block(self, k, g, H, jacobian=False):
+        calls.append((k, jacobian))
+        return block(self, k, g, H, jacobian)
+
+    monkeypatch.setattr(solver.CoupledSystem, "gauss", counted_gauss)
+    monkeypatch.setattr(solver.CoupledSystem, "block", counted_block)
+    res = solver.run_load_program(sys_, con, ["pull"], [1e-5, 2e-5],
+                                  "drive", "ground", max_cutbacks=10)
+    assert not res.aborted and len(res.records) == 3
+    assert [r.cutbacks for r in res.records] == [0, 0, 0]
+    step = ["gauss", (2, True), "gauss", (0, True), "gauss", (1, True),
+            "gauss", (0, False), (1, False)]
+    assert calls == 3 * step
+
+
+def test_seed_history_placement():
+    # mesh elements 3 and 7 land on their rows among the active ones
+    for inactive, rows in ((None, [3, 7]), (0, [2, 6])):
+        m = meshing.structured_mesh((0.1, 0.2), (10, 20))
+        if inactive is not None:
+            m.active[inactive] = False
+        sys_ = solver.CoupledSystem(m, _mat())
+        H = solver.seed_history(sys_, [3, 7], 1e5)
+        assert H.shape == sys_.tables.w.shape
+        assert np.all(H[rows] == 1e5)
+        assert H.sum() == pytest.approx(2 * 4 * 1e5)
 
 
 def test_seed_history_rejects_inactive():
