@@ -13,11 +13,19 @@ The orientation moment and the percolation-onset pair integral use
 fixed Gauss-Legendre rules.  Their nodes, weights and fixed trigonometric
 factors (among them the sines and cosines of both node grids) are built
 once, at import, as read-only module arrays; an evaluation only computes
-the strained density `_strained_density` on them.  Both depend on the
-principal stretches alone, so both are memoized on the stretch tuple
-(`_pair_integral`, and `_second_moment`, whose 3x3 is read-only): the
-piezoresistive finite differences of every material card strain the
-same four states, and only the first card evaluates them.
+the strained density `_strained_density` on them.
+
+What a material card shares with its neighbours is memoized, and the
+memoized arrays are read-only.  The piezoresistive finite differences
+of every card strain the same four states, so only the first card
+evaluates, for each of them, the principal frame (`_principal_frame`,
+keyed on the strain's bytes), the onset pair integral (`_pair_integral`)
+and the orientation moment (`_second_moment`, both keyed on the
+principal stretches).  The hopping channel's dressed cylinder and its
+depolarization factor (`_hopping_channel`) depend on the fiber's D, L,
+conductivity and barrier and on the cutoff distance alone, so every
+filler fraction of one fiber shares them; the network channel's gap
+moves with the filler fraction and is dressed per call.
 
 All inputs are SI except where an eV argument is named as such.
 """
@@ -102,6 +110,15 @@ def interphase_layer(spec, d_a):
     return TunnelLayer(0.5 * d_a, d_a / (area * R))
 
 
+class _Fiber(NamedTuple):
+    """The card fields a dressed fiber reads, standing in for the card in
+    `interphase_layer`; hashable, so it keys the hopping-channel memo."""
+    D_cnt: float
+    L_cnt: float
+    sigma_cnt: float
+    lambda_eV: float
+
+
 def equivalent_cylinder(sigma_L, sigma_T, r, L, t, sigma_int):
     """Conductivities of a coated cylinder replaced by a solid one.
 
@@ -128,6 +145,23 @@ def equivalent_cylinder(sigma_L, sigma_T, r, L, t, sigma_int):
     sT = sigma_int / (L + 2.0 * t) * (core + 2.0 * t)
     mult = (r + t) ** 2 * (L + 2.0 * t) / (r * r * L)
     return sL, sT, mult
+
+
+def _dressed_cylinder(fiber, gap):
+    """(sigma_L, sigma_T, vol_mult) of a fiber dressed with the tunneling
+    layer of the given gap, as a solid cylinder."""
+    layer = interphase_layer(fiber, gap)
+    return equivalent_cylinder(fiber.sigma_cnt, fiber.sigma_cnt,
+                               0.5 * fiber.D_cnt, fiber.L_cnt, layer.t,
+                               layer.sigma_int)
+
+
+@lru_cache(maxsize=256)
+def _hopping_channel(fiber, d_c):
+    """The dressed cylinder of the hopping channel (gap d_c) and its
+    transverse depolarization factor."""
+    return (*_dressed_cylinder(fiber, d_c),
+            eshelby_electrical(fiber.L_cnt / fiber.D_cnt))
 
 
 def _checked_stretches(stretches):
@@ -198,6 +232,8 @@ def _moment_rule():
  _ONSET_SIN2, _ONSET_COS2) = _onset_rule()
 (_MOMENT_SIN1, _MOMENT_COS1, _MOMENT_SIN2, _MOMENT_COS2, _MOMENT_WEIGHT,
  _MOMENT_AXES) = _moment_rule()
+# the identity, and the orientation moment of the uniform density
+_EYE3, _ISOTROPIC_MOMENT = _read_only(np.eye(3), np.eye(3) / 3.0)
 
 
 @lru_cache(maxsize=256)
@@ -262,7 +298,16 @@ def _channel_tensor(sig_L, sig_T, S11, f_eff, sigma_m, M2):
     AL = aL / ((1.0 - f_eff) + f_eff * aL)
     xT = f_eff * (sig_T - sigma_m) * AT
     xL = f_eff * (sig_L - sigma_m) * AL
-    return xT * np.eye(3) + (xL - xT) * M2
+    return xT * _EYE3 + (xL - xT) * M2
+
+
+@lru_cache(maxsize=256)
+def _principal_frame(strain_bytes):
+    """Principal stretches (Python floats) and the read-only frame of the
+    3x3 float strain with these C-order bytes."""
+    strain = np.frombuffer(strain_bytes).reshape(3, 3)
+    ev, V = np.linalg.eigh(strain)
+    return tuple(1.0 + v for v in ev.tolist()), _read_only(V)[0]
 
 
 def effective_conductivity(spec, strain=None):
@@ -275,14 +320,12 @@ def effective_conductivity(spec, strain=None):
     # the principal stretches stay Python floats: they key the onset and
     # moment caches, and a 3-vector is cheaper to test without numpy
     if strain is None:
-        lam = (1.0, 1.0, 1.0)
-        V = np.eye(3)
+        lam, V = (1.0, 1.0, 1.0), None
     else:
         strain = np.asarray(strain, dtype=float)
         if strain.shape != (3, 3):
             raise ValueError(f"expected a 3x3 strain, got shape {strain.shape}")
-        ev, V = np.linalg.eigh(strain)
-        lam = tuple(1.0 + v for v in ev.tolist())
+        lam, V = _principal_frame(strain.tobytes())
         if min(lam) <= 0.0:
             raise ValueError("deformation inverts the volume")
 
@@ -291,36 +334,35 @@ def effective_conductivity(spec, strain=None):
     if not 0.0 <= f_p < 1.0:
         raise ValueError(f"strained filler fraction outside [0, 1): {f_p}")
     if f_p == 0.0:
-        return sigma_m * np.eye(3)
+        return sigma_m * _EYE3
 
-    s = spec.kappa
-    f_c = percolation_threshold(s, lam)
+    f_c = percolation_threshold(spec.kappa, lam)
     xi = percolated_fraction(f_p, f_c)
 
     deformed = strain is not None and any(abs(v - 1.0) > 1e-14 for v in lam)
-    M2 = _second_moment(lam) if deformed else np.eye(3) / 3.0
+    M2 = _second_moment(lam) if deformed else _ISOTROPIC_MOMENT
 
     # hopping between isolated fibers at the cutoff distance, and the
     # percolating network, whose gap shrinks with the filler excess over
     # the onset; each dressed fiber is replaced by a solid cylinder
-    channels = [(1.0 - xi, spec.d_c, eshelby_electrical(s))]
+    fiber = _Fiber(spec.D_cnt, spec.L_cnt, spec.sigma_cnt, spec.lambda_eV)
+    channels = [(1.0 - xi, _hopping_channel(fiber, spec.d_c))]
     if xi > 0.0:
-        channels.append((xi, spec.d_c * (f_c / f_p) ** (1.0 / 3.0), 0.5))
+        gap = spec.d_c * (f_c / f_p) ** (1.0 / 3.0)
+        channels.append((xi, (*_dressed_cylinder(fiber, gap), 0.5)))
     out = 0.0
-    for weight, gap, S11 in channels:
-        layer = interphase_layer(spec, gap)
-        sL, sT, mult = equivalent_cylinder(
-            spec.sigma_cnt, spec.sigma_cnt, 0.5 * spec.D_cnt, spec.L_cnt,
-            layer.t, layer.sigma_int)
+    for weight, (sL, sT, mult, S11) in channels:
         f_eff = mult * f_p
         if f_eff >= 1.0:
             raise ValueError(f"dressed filler fraction reaches {f_eff:.3f}")
         out = out + weight * _channel_tensor(sL, sT, S11, f_eff, sigma_m, M2)
 
-    out = out + sigma_m * np.eye(3)
-    out = V @ out @ V.T
+    out = out + sigma_m * _EYE3
+    if V is not None:
+        # the virgin state's frame is the identity, an exact product
+        out = V @ out @ V.T
     out = 0.5 * (out + out.T)
-    if np.min(np.linalg.eigvalsh(out)) <= 0.0:
+    if np.linalg.eigvalsh(out).min() <= 0.0:
         raise ValueError("effective conductivity lost positive definiteness")
     return out
 
@@ -340,20 +382,24 @@ def piezoresistivity_coeffs(spec):
     The step is verified by halving it; a shift beyond 1% raises.
     """
     sig0 = effective_conductivity(spec)
-    dev = np.abs(sig0 - sig0[0, 0] * np.eye(3)).max() / abs(sig0[0, 0])
+    dev = np.abs(sig0 - sig0[0, 0] * _EYE3).max() / abs(sig0[0, 0])
     if dev > 1e-6:
         raise ValueError(f"virgin conductivity not isotropic (dev {dev:.2e})")
-    rho0 = 1.0 / (np.trace(sig0) / 3.0)
+    rho0 = 1.0 / (sig0.trace() / 3.0)
 
-    def coeffs(step):
-        rp = np.linalg.inv(effective_conductivity(spec, _uniaxial(0, +step)))
-        rm = np.linalg.inv(effective_conductivity(spec, _uniaxial(0, -step)))
+    # the resistivities at +-step for the step and its half, in one inv
+    steps = (_FD_STEP, 0.5 * _FD_STEP)
+    rho = np.linalg.inv(np.stack([
+        effective_conductivity(spec, _uniaxial(0, delta))
+        for step in steps for delta in (+step, -step)]))
+
+    def coeffs(step, rp, rm):
         l11 = (rp[0, 0] - rm[0, 0]) / (2.0 * step * rho0)
         l12 = (rp[1, 1] - rm[1, 1] + rp[2, 2] - rm[2, 2]) / (4.0 * step * rho0)
         return l11, l12
 
-    l11, l12 = coeffs(_FD_STEP)
-    l11_h, l12_h = coeffs(0.5 * _FD_STEP)
+    l11, l12 = coeffs(steps[0], rho[0], rho[1])
+    l11_h, l12_h = coeffs(steps[1], rho[2], rho[3])
     scale = max(abs(l11), 1.0)
     if abs(l11_h - l11) > 0.01 * scale or abs(l12_h - l12) > 0.01 * scale:
         raise ValueError(

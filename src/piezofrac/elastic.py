@@ -7,12 +7,19 @@ common aspect ratio, oriented with a uniform density.  That orientation
 average is computed in closed form: each phase's concentration tensors
 are transversely isotropic about the fiber axis, so their uniform
 average is exactly their isotropic projection, read off the 6x6 Voigt
-matrices.  Those averages depend on the fiber shape, the matrix and the
-phase alone, not on the filler fraction, so `_phase_averages` memoizes
-them, read-only, on (kappa, E_m, nu_m, E_phase, nu_phase): the cards of
-a filler-fraction sweep at one aspect ratio share them.  The
-fracture-energy model adds the work of fiber pull-out and rupture
-across a bridged crack to the matrix toughness.
+matrices.  The fracture-energy model adds the work of fiber pull-out and
+rupture across a bridged crack to the matrix toughness.
+
+What does not depend on the filler fraction is memoized, read-only, so
+the cards of a filler-fraction sweep share it: each phase's isotropic
+stiffness on (E, nu) (`_stiffness`), its no-contrast test against the
+matrix (`_contrast_free`), its orientation-averaged concentration
+tensors on (kappa, E_m, nu_m, E_phase, nu_phase) (`_phase_averages`),
+and the break points of the bridging integral, where a fiber's strength
+changes sign and where pull-out gives way to rupture, on (D, L, tau,
+sigma_ult, A, mu) (`_break_points`).  The bridging integral itself is
+not memoized: its absolute tolerance scales with the filler fraction.
+`effective_stiffness` hands out a fresh array on every path.
 
 All inputs are SI.
 """
@@ -142,6 +149,28 @@ def _phases_match(C_a, C_b):
         np.abs(C_a - C_b) <= atol + 1e-12 * np.abs(C_b)))
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+_EYE6 = _read_only(np.eye(6))[0]
+
+
+@lru_cache(maxsize=256)
+def _stiffness(E, nu):
+    """Read-only `tensors.isotropic_stiffness(E, nu)`, shared by every
+    caller with the same phase."""
+    return _read_only(tensors.isotropic_stiffness(E, nu))[0]
+
+
+@lru_cache(maxsize=256)
+def _contrast_free(E_m, nu_m, E, nu):
+    """Whether the phase (E, nu) matches the matrix (E_m, nu_m)."""
+    return _phases_match(_stiffness(E, nu), _stiffness(E_m, nu_m))
+
+
 @lru_cache(maxsize=256)
 def _phase_averages(kappa, E_m, nu_m, E, nu):
     """Orientation averages of A and C A for one phase of a fiber composite.
@@ -152,17 +181,13 @@ def _phase_averages(kappa, E_m, nu_m, E, nu):
     strain 1:1.  The pair is read-only, since every caller with the
     same key shares it.
     """
-    C_m = tensors.isotropic_stiffness(E_m, nu_m)
-    C_phase = tensors.isotropic_stiffness(E, nu)
-    if _phases_match(C_phase, C_m):
-        out = (np.eye(6), C_m)
-    else:
-        A = dilute_concentration(C_phase, C_m, eshelby_prolate(kappa, nu_m))
-        out = (tensors.isotropic_projection(A, 2),
-               tensors.isotropic_projection(C_phase @ A, 1))
-    for a in out:
-        a.flags.writeable = False
-    return out
+    C_m = _stiffness(E_m, nu_m)
+    if _contrast_free(E_m, nu_m, E, nu):
+        return _EYE6, C_m
+    C_phase = _stiffness(E, nu)
+    A = dilute_concentration(C_phase, C_m, eshelby_prolate(kappa, nu_m))
+    return _read_only(tensors.isotropic_projection(A, 2),
+                      tensors.isotropic_projection(C_phase @ A, 1))
 
 
 def effective_stiffness(spec):
@@ -180,15 +205,15 @@ def effective_stiffness(spec):
     Returns the matrix stiffness outright when the filler content is
     zero or when no phase has any contrast with the matrix.
     """
-    C_m = tensors.isotropic_stiffness(spec.E_m, spec.nu_m)
+    C_m = _stiffness(spec.E_m, spec.nu_m)
     if spec.f_p0 == 0.0:
-        return C_m
+        return C_m.copy()
     # coating takes the matrix Poisson ratio; fiber material is isotropic
     coating = (spec.E_i, spec.nu_m)
     fiber = (spec.E_cnt, spec.nu_cnt)
-    if all(_phases_match(tensors.isotropic_stiffness(*phase), C_m)
+    if all(_contrast_free(spec.E_m, spec.nu_m, *phase)
            for phase in (coating, fiber)):
-        return C_m
+        return C_m.copy()
 
     f_p = spec.f_p0
     f_i = interphase_volume_fraction(f_p, spec.kappa, spec.t_i, spec.D_cnt)
@@ -200,13 +225,13 @@ def effective_stiffness(spec):
     def averages(phase, weight):
         # a phase with no volume concentrates strain 1:1
         if weight == 0.0:
-            return np.eye(6), C_m
+            return _EYE6, C_m
         return _phase_averages(spec.kappa, spec.E_m, spec.nu_m, *phase)
 
     A_i_avg, CA_i_avg = averages(coating, f_i)
     A_p_avg, CA_p_avg = averages(fiber, f_p)
 
-    N = f_m * np.eye(6) + f_i * A_i_avg + f_p * A_p_avg
+    N = f_m * _EYE6 + f_i * A_i_avg + f_p * A_p_avg
     C = (f_m * C_m + f_i * CA_i_avg + f_p * CA_p_avg) @ np.linalg.inv(N)
     return 0.5 * (C + C.T)
 
@@ -220,6 +245,30 @@ def effective_engineering_constants(spec):
 
 # strength loss per unit tan(inclination) of a fiber pulled out obliquely
 _A_SNUB = 0.083
+
+
+@lru_cache(maxsize=256)
+def _break_points(D, L, tau, sig_u, A, mu):
+    """Interior break points of the bridging integral over inclination.
+
+    The strength sign change atan(1/A) and the pull-out/rupture switch,
+    where the critical length of `fracture_energy`'s integrand reaches
+    L, as a sorted tuple.
+    """
+    pts = []
+    th_hi = math.atan(1.0 / A) if A > 0.0 else math.inf
+    if 0.0 < th_hi < 0.5 * np.pi:
+        pts.append(th_hi)
+
+    def lc_gap(th):
+        return sig_u * (1.0 - A * math.tan(th)) * D / (
+            2.0 * tau * math.exp(mu * th)) - L
+
+    lo = 0.0
+    hi = min(0.5 * np.pi, th_hi * (1.0 - 1e-12))
+    if lo < hi and lc_gap(lo) * lc_gap(hi) < 0.0:
+        pts.append(optimize.brentq(lc_gap, lo, hi))
+    return tuple(sorted(pts))
 
 
 def fracture_energy(spec):
@@ -238,36 +287,27 @@ def fracture_energy(spec):
     g = 1.0 / (0.5 * np.pi)
     A_cnt = np.pi * D ** 2 / 4.0
     W_rup = np.pi * D ** 2 * sig_u ** 2 * L / (8.0 * E_f)
+    # factors of the integrand, grouped as its products evaluate them
+    half_pi, half_L, two_tau = 0.5 * np.pi, 0.5 * L, 2.0 * tau
+    pull_coef = 0.5 * tau * np.pi * D
+    exp, tan, cos = math.exp, math.tan, math.cos
 
-    def crit_len(th):
-        # fiber length below which a fiber inclined at th pulls out
-        # instead of rupturing; not positive where its strength is not
-        return sig_u * (1.0 - A * math.tan(th)) * D / (2.0 * tau * math.exp(mu * th))
-
-    def inner(th):
-        # exact integral of the piecewise work over embedded length
-        lc = crit_len(th) if th < 0.5 * np.pi else -math.inf
-        lc = min(max(0.5 * lc, 0.0), 0.5 * L)
-        pull = 0.5 * tau * np.pi * D * math.exp(mu * th) * lc ** 3 / 3.0
-        return pull + (0.5 * L - lc) * W_rup
-
-    # interior break points: strength sign change and pull-out/rupture switch
-    pts = []
-    th_hi = math.atan(1.0 / A) if A > 0.0 else math.inf
-    if 0.0 < th_hi < 0.5 * np.pi:
-        pts.append(th_hi)
-
-    def lc_gap(th):
-        return crit_len(th) - L
-
-    lo = 0.0
-    hi = min(0.5 * np.pi, th_hi * (1.0 - 1e-12))
-    if lo < hi and lc_gap(lo) * lc_gap(hi) < 0.0:
-        pts.append(optimize.brentq(lc_gap, lo, hi))
+    def integrand(th):
+        # lc: the fiber length below which a fiber inclined at th pulls
+        # out instead of rupturing, not positive where its strength is
+        # not; the work is integrated exactly over embedded length and
+        # weighted by the inclination density and the crack-plane
+        # projection
+        e = exp(mu * th)
+        lc = (sig_u * (1.0 - A * tan(th)) * D / (two_tau * e)
+              if th < half_pi else -math.inf)
+        lc = min(max(0.5 * lc, 0.0), half_L)
+        pull = pull_coef * e * lc ** 3 / 3.0
+        return (pull + (half_L - lc) * W_rup) * g * cos(th)
 
     pref = 2.0 * spec.f_p0 / (A_cnt * L)
     tol = 1e-4 * spec.G0 / pref if spec.G0 > 0.0 else 1.49e-10
-    val, _ = integrate.quad(
-        lambda th: inner(th) * g * math.cos(th), 0.0, 0.5 * np.pi,
-        points=sorted(pts) or None, epsabs=tol, epsrel=1e-9, limit=200)
+    pts = _break_points(D, L, tau, sig_u, A, mu)
+    val, _ = integrate.quad(integrand, 0.0, half_pi, points=pts or None,
+                            epsabs=tol, epsrel=1e-9, limit=200)
     return spec.G0 + pref * val

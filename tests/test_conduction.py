@@ -215,11 +215,87 @@ def test_second_moment_is_read_only():
         M2[0, 0] = 0.0
 
 
+def test_principal_frame_is_read_only_and_matches_eigh():
+    eps = np.array([[2e-4, 3e-5, -4e-5],
+                    [3e-5, -6e-5, 5e-5],
+                    [-4e-5, 5e-5, -6e-5]])
+    lam, V = conduction._principal_frame(eps.tobytes())
+    ev, V_ref = np.linalg.eigh(eps)
+    assert lam == tuple(1.0 + v for v in ev.tolist())
+    assert np.array_equal(V, V_ref)
+    assert not V.flags.writeable
+    with pytest.raises(ValueError):
+        V[0, 0] = 0.0
+
+
+def test_frame_is_keyed_on_the_strain_not_its_memory(panel):
+    """eigh reads the lower triangle, so a non-symmetric strain and its
+    transpose have different frames; the transpose stored column-major
+    holds the same memory as the strain stored row-major."""
+    eps = np.array([[2e-4, 3e-5, -4e-5],
+                    [-1e-5, -6e-5, 5e-5],
+                    [2e-5, 1e-5, -6e-5]])
+    conduction._principal_frame.cache_clear()
+    want = conduction.effective_conductivity(panel, np.ascontiguousarray(eps.T))
+    conduction._principal_frame.cache_clear()
+    other = conduction.effective_conductivity(panel, eps)
+    got = conduction.effective_conductivity(panel, np.asfortranarray(eps.T))
+    assert np.array_equal(got, want)
+    assert not np.array_equal(got, other)
+
+
+def test_public_results_are_fresh_and_writeable(panel):
+    """Memoized pieces are read-only; what a caller gets is its own."""
+    no_contrast = replace(panel, E_cnt=panel.E_m, nu_cnt=panel.nu_m,
+                          E_i=panel.E_m)
+    eps = np.diag([1e-5, 0.0, 0.0])
+    results = [lambda s=s: elastic.effective_stiffness(s)
+               for s in (panel, panel.with_filler(0.0), no_contrast)]
+    results += [lambda s=s, e=e: conduction.effective_conductivity(s, e)
+                for s in (panel, panel.with_filler(0.0))
+                for e in (None, eps)]
+    for result in results:
+        first = result()
+        want = first.copy()
+        assert first.flags.writeable
+        first[...] = -1.0
+        again = result()
+        assert again is not first
+        assert np.array_equal(again, want)
+
+
 def _clear_caches():
     materials.derive_properties.cache_clear()
     conduction._pair_integral.cache_clear()
     conduction._second_moment.cache_clear()
+    conduction._principal_frame.cache_clear()
+    conduction._hopping_channel.cache_clear()
+    elastic._stiffness.cache_clear()
+    elastic._contrast_free.cache_clear()
     elastic._phase_averages.cache_clear()
+    elastic._break_points.cache_clear()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("D_cnt", 12e-9), ("L_cnt", 2.5e-6), ("sigma_cnt", 250.0),
+    ("d_c", 0.25e-9), ("lambda_eV", 0.6)])
+def test_effective_conductivity_warm_equals_cold_per_hopping_field(
+        panel, field, value):
+    """Each field of the hopping-channel key reaches the cache key.
+
+    The card sits below the percolation onset, so hopping is its only
+    channel.
+    """
+    below = panel.with_filler(0.001)
+    spec = replace(below, **{field: value})
+    assert conduction.percolation_threshold(spec.kappa) > spec.f_p0
+    conduction._hopping_channel.cache_clear()
+    base = conduction.effective_conductivity(below)
+    warm = conduction.effective_conductivity(spec)
+    conduction._hopping_channel.cache_clear()
+    cold = conduction.effective_conductivity(spec)
+    assert np.array_equal(warm, cold)
+    assert not np.array_equal(warm, base)
 
 
 def test_property_card_builds_no_quadrature(panel, monkeypatch):

@@ -287,8 +287,9 @@ def test_effective_stiffness_warm_equals_cold_per_phase_field(panel, field,
 
 def test_phase_averages_are_read_only(panel):
     for E, nu in ((panel.E_cnt, panel.nu_cnt), (panel.E_m, panel.nu_m)):
-        for arr in elastic._phase_averages(panel.kappa, panel.E_m,
-                                           panel.nu_m, E, nu):
+        arrays = (elastic._stiffness(E, nu),) + elastic._phase_averages(
+            panel.kappa, panel.E_m, panel.nu_m, E, nu)
+        for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.0
@@ -376,6 +377,27 @@ def test_snubbing_friction_raises_single_fiber_pullout_work(panel,
     gain = (np.exp(0.25 * np.pi) - 0.5) / 1.25
     assert G_snub > G_plain
     assert np.isclose(G_snub - spec.G0, gain * (G_plain - spec.G0), rtol=1e-8)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("D_cnt", 12e-9), ("L_cnt", 2.5e-6), ("tau_int", 60e6),
+    ("sigma_ult", 30e9), ("mu_snub", 0.5), ("_A_SNUB", 0.05)])
+def test_fracture_energy_warm_equals_cold_per_break_point_field(
+        panel, monkeypatch, field, value):
+    """Each field of the break-point key reaches the cache key; the
+    snubbing constant is read when the energy is computed."""
+    spec = panel
+    elastic._break_points.cache_clear()
+    base = elastic.fracture_energy(panel)
+    if field == "_A_SNUB":
+        monkeypatch.setattr(elastic, field, value)
+    else:
+        spec = replace(panel, **{field: value})
+    warm = elastic.fracture_energy(spec)
+    elastic._break_points.cache_clear()
+    cold = elastic.fracture_energy(spec)
+    assert warm == cold
+    assert warm != base
 
 
 def test_fracture_energy_with_snubbing_is_finite(panel):
