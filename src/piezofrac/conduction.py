@@ -15,13 +15,19 @@ factors (among them the sines and cosines of both node grids) are built
 once, at import, as read-only module arrays; an evaluation only computes
 the strained density `_strained_density` on them.
 
+A card's piezoresistive finite differences evaluate the virgin state
+and four uniaxial strains (`_FD_STATES`) in one `effective_conductivity`
+call, which takes a sequence of states and returns their stacked
+conductivities: the scalar work and its checks run state by state, and
+the tensor work once over the stack.
+
 What a material card shares with its neighbours is memoized, and the
-memoized arrays are read-only.  The piezoresistive finite differences
-of every card strain the same four states, so only the first card
-evaluates, for each of them, the principal frame (`_principal_frame`,
-keyed on the strain's bytes), the onset pair integral (`_pair_integral`)
-and the orientation moment (`_second_moment`, both keyed on the
-principal stretches).  The hopping channel's dressed cylinder and its
+memoized arrays are read-only.  Every card strains the same four
+states, so only the first card evaluates, for each of them, the
+principal frame and orientation moment (`_principal_frame`, keyed on
+the strain's bytes) and the onset pair integral (`_pair_integral`,
+keyed on the principal stretches, like the moment's own memo
+`_second_moment`).  The hopping channel's dressed cylinder and its
 depolarization factor (`_hopping_channel`) depend on the fiber's D, L,
 conductivity and barrier and on the cutoff distance alone, so every
 filler fraction of one fiber shares them; the network channel's gap
@@ -234,6 +240,11 @@ def _moment_rule():
  _MOMENT_AXES) = _moment_rule()
 # the identity, and the orientation moment of the uniform density
 _EYE3, _ISOTROPIC_MOMENT = _read_only(np.eye(3), np.eye(3) / 3.0)
+# the states of the piezoresistive finite differences: the virgin state,
+# then the uniaxial strains +-step and +-step/2 along axis 0
+_FD_STATES = (None, *_read_only(*(
+    np.diag([delta, 0.0, 0.0])
+    for delta in (_FD_STEP, -_FD_STEP, 0.5 * _FD_STEP, -0.5 * _FD_STEP))))
 
 
 @lru_cache(maxsize=256)
@@ -286,8 +297,9 @@ def _second_moment(stretches):
         np.einsum("iab,jab,ab->ij", _MOMENT_AXES, _MOMENT_AXES, wt))[0]
 
 
-def _channel_tensor(sig_L, sig_T, S11, f_eff, sigma_m, M2):
-    """Orientation-averaged contribution f_eff (sigma - sigma_m I) A.
+def _channel_coeffs(sig_L, sig_T, S11, f_eff, sigma_m):
+    """(xT, xL) of the orientation-averaged channel contribution
+    f_eff (sigma - sigma_m I) A = xT I + (xL - xT) <m x m>.
 
     S11 is the transverse depolarization factor; the axial one is
     1 - 2 S11.
@@ -296,81 +308,108 @@ def _channel_tensor(sig_L, sig_T, S11, f_eff, sigma_m, M2):
     aL = 1.0 / (1.0 + (1.0 - 2.0 * S11) * (sig_L - sigma_m) / sigma_m)
     AT = aT / ((1.0 - f_eff) + f_eff * aT)
     AL = aL / ((1.0 - f_eff) + f_eff * aL)
-    xT = f_eff * (sig_T - sigma_m) * AT
-    xL = f_eff * (sig_L - sigma_m) * AL
-    return xT * _EYE3 + (xL - xT) * M2
+    return f_eff * (sig_T - sigma_m) * AT, f_eff * (sig_L - sigma_m) * AL
 
 
 @lru_cache(maxsize=256)
 def _principal_frame(strain_bytes):
-    """Principal stretches (Python floats) and the read-only frame of the
-    3x3 float strain with these C-order bytes."""
+    """Principal stretches (Python floats), the read-only frame and the
+    orientation moment of the 3x3 float strain with these C-order bytes.
+
+    The moment is None when a stretch is not positive, and the uniform
+    one when every stretch is within 1e-14 of 1.
+    """
     strain = np.frombuffer(strain_bytes).reshape(3, 3)
     ev, V = np.linalg.eigh(strain)
-    return tuple(1.0 + v for v in ev.tolist()), _read_only(V)[0]
-
-
-def effective_conductivity(spec, strain=None):
-    """Effective 3x3 conductivity of the composite at a given strain.
-
-    strain is a 3x3 small-strain tensor (None for the virgin state).
-    The result is symmetric positive definite; for the virgin state it
-    is isotropic.
-    """
-    # the principal stretches stay Python floats: they key the onset and
-    # moment caches, and a 3-vector is cheaper to test without numpy
-    if strain is None:
-        lam, V = (1.0, 1.0, 1.0), None
+    lam = tuple(1.0 + v for v in ev.tolist())
+    if min(lam) <= 0.0:
+        M2 = None
+    elif any(abs(v - 1.0) > 1e-14 for v in lam):
+        M2 = _second_moment(lam)
     else:
-        strain = np.asarray(strain, dtype=float)
-        if strain.shape != (3, 3):
-            raise ValueError(f"expected a 3x3 strain, got shape {strain.shape}")
-        lam, V = _principal_frame(strain.tobytes())
-        if min(lam) <= 0.0:
-            raise ValueError("deformation inverts the volume")
+        M2 = _ISOTROPIC_MOMENT
+    return lam, _read_only(V)[0], M2
 
+
+# a state's channel coefficients: per channel (hopping, network) its
+# weight, xT and xL - xT; an absent channel contributes exactly zero
+_NO_CHANNELS = (0.0,) * 6
+
+
+def effective_conductivity(spec, states):
+    """Effective 3x3 conductivities of the composite at a sequence of
+    strains.
+
+    Each state is a 3x3 small-strain tensor, or None for the virgin
+    state.  Returns their (n, 3, 3) stack, each symmetric positive
+    definite; the virgin state's is isotropic.  The scalar work and its
+    checks run state by state, in order; the channel tensors are then
+    assembled, rotated to the strain's frame, symmetrized and checked
+    for positive definiteness once, over the whole stack.
+    """
     sigma_m = spec.sigma_m
-    f_p = spec.f_p0 / (lam[0] * lam[1] * lam[2])
-    if not 0.0 <= f_p < 1.0:
-        raise ValueError(f"strained filler fraction outside [0, 1): {f_p}")
-    if f_p == 0.0:
-        return sigma_m * _EYE3
-
-    f_c = percolation_threshold(spec.kappa, lam)
-    xi = percolated_fraction(f_p, f_c)
-
-    deformed = strain is not None and any(abs(v - 1.0) > 1e-14 for v in lam)
-    M2 = _second_moment(lam) if deformed else _ISOTROPIC_MOMENT
-
-    # hopping between isolated fibers at the cutoff distance, and the
-    # percolating network, whose gap shrinks with the filler excess over
-    # the onset; each dressed fiber is replaced by a solid cylinder
     fiber = _Fiber(spec.D_cnt, spec.L_cnt, spec.sigma_cnt, spec.lambda_eV)
-    channels = [(1.0 - xi, _hopping_channel(fiber, spec.d_c))]
-    if xi > 0.0:
-        gap = spec.d_c * (f_c / f_p) ** (1.0 / 3.0)
-        channels.append((xi, (*_dressed_cylinder(fiber, gap), 0.5)))
-    out = 0.0
-    for weight, (sL, sT, mult, S11) in channels:
-        f_eff = mult * f_p
-        if f_eff >= 1.0:
-            raise ValueError(f"dressed filler fraction reaches {f_eff:.3f}")
-        out = out + weight * _channel_tensor(sL, sT, S11, f_eff, sigma_m, M2)
+    frames, moments, coeffs = [], [], []
+    for strain in states:
+        # the principal stretches stay Python floats: they key the onset
+        # and moment caches, and a 3-vector is cheaper to test without
+        # numpy; the virgin state's frame is the identity, an exact product
+        if strain is None:
+            lam, V, M2 = (1.0, 1.0, 1.0), _EYE3, _ISOTROPIC_MOMENT
+        else:
+            strain = np.asarray(strain, dtype=float)
+            if strain.shape != (3, 3):
+                raise ValueError(
+                    f"expected a 3x3 strain, got shape {strain.shape}")
+            lam, V, M2 = _principal_frame(strain.tobytes())
+            if min(lam) <= 0.0:
+                raise ValueError("deformation inverts the volume")
 
-    out = out + sigma_m * _EYE3
-    if V is not None:
-        # the virgin state's frame is the identity, an exact product
-        out = V @ out @ V.T
-    out = 0.5 * (out + out.T)
+        f_p = spec.f_p0 / (lam[0] * lam[1] * lam[2])
+        if not 0.0 <= f_p < 1.0:
+            raise ValueError(f"strained filler fraction outside [0, 1): {f_p}")
+        if f_p == 0.0:
+            # the matrix alone, the same in every frame
+            frames.append(_EYE3)
+            moments.append(_ISOTROPIC_MOMENT)
+            coeffs.append(_NO_CHANNELS)
+            continue
+        frames.append(V)
+        moments.append(M2)
+
+        f_c = percolation_threshold(spec.kappa, lam)
+        xi = percolated_fraction(f_p, f_c)
+
+        # hopping between isolated fibers at the cutoff distance, and the
+        # percolating network, whose gap shrinks with the filler excess
+        # over the onset; each dressed fiber is replaced by a solid
+        # cylinder
+        channels = [(1.0 - xi, _hopping_channel(fiber, spec.d_c))]
+        if xi > 0.0:
+            gap = spec.d_c * (f_c / f_p) ** (1.0 / 3.0)
+            channels.append((xi, (*_dressed_cylinder(fiber, gap), 0.5)))
+        c = []
+        for weight, (sL, sT, mult, S11) in channels:
+            f_eff = mult * f_p
+            if f_eff >= 1.0:
+                raise ValueError(
+                    f"dressed filler fraction reaches {f_eff:.3f}")
+            xT, xL = _channel_coeffs(sL, sT, S11, f_eff, sigma_m)
+            c += (weight, xT, xL - xT)
+        coeffs.append((*c, *_NO_CHANNELS[len(c):]))
+
+    # weights and coefficients, each (n, 2, 1, 1), against the (n, 1, 3, 3)
+    # moments: element by element, the arithmetic of one state
+    w, xT, dx = np.array(coeffs).reshape(-1, 2, 3, 1, 1).transpose(
+        2, 0, 1, 3, 4)
+    terms = w * (xT * _EYE3 + dx * np.array(moments)[:, None])
+    out = terms[:, 0] + terms[:, 1] + sigma_m * _EYE3
+    V = np.array(frames)
+    out = V @ out @ V.transpose(0, 2, 1)
+    out = 0.5 * (out + out.transpose(0, 2, 1))
     if np.linalg.eigvalsh(out).min() <= 0.0:
         raise ValueError("effective conductivity lost positive definiteness")
     return out
-
-
-def _uniaxial(axis, delta):
-    e = np.zeros((3, 3))
-    e[axis, axis] = delta
-    return e
 
 
 def piezoresistivity_coeffs(spec):
@@ -379,19 +418,19 @@ def piezoresistivity_coeffs(spec):
     Central finite differences of the effective resistivity under a
     small uniaxial strain give (rho0, lam11, lam12): the relative
     change of the axial and transverse resistivities per unit strain.
-    The step is verified by halving it; a shift beyond 1% raises.
+    The step is verified by halving it; a shift beyond 1% raises.  The
+    virgin state and the four strained ones (`_FD_STATES`) are one
+    stacked `effective_conductivity` call, and the four strained
+    conductivities are inverted together.
     """
-    sig0 = effective_conductivity(spec)
+    sig = effective_conductivity(spec, _FD_STATES)
+    sig0 = sig[0]
     dev = np.abs(sig0 - sig0[0, 0] * _EYE3).max() / abs(sig0[0, 0])
     if dev > 1e-6:
         raise ValueError(f"virgin conductivity not isotropic (dev {dev:.2e})")
     rho0 = 1.0 / (sig0.trace() / 3.0)
-
-    # the resistivities at +-step for the step and its half, in one inv
+    rho = np.linalg.inv(sig[1:])
     steps = (_FD_STEP, 0.5 * _FD_STEP)
-    rho = np.linalg.inv(np.stack([
-        effective_conductivity(spec, _uniaxial(0, delta))
-        for step in steps for delta in (+step, -step)]))
 
     def coeffs(step, rp, rm):
         l11 = (rp[0, 0] - rm[0, 0]) / (2.0 * step * rho0)

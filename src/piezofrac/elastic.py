@@ -237,10 +237,11 @@ def effective_stiffness(spec):
 
 
 def effective_engineering_constants(spec):
-    """(E, nu) of the isotropic part of the effective stiffness."""
-    C = effective_stiffness(spec)
-    _, E, nu, _ = tensors.isotropic_part(C)
-    return E, nu
+    """(E, nu) of the isotropic part of the effective stiffness, from
+    its Lame constants lambda = C_12 and mu = C_44."""
+    C_iso = tensors.isotropic_projection(effective_stiffness(spec), 1)
+    lam, mu = C_iso[0, 1], C_iso[3, 3]
+    return mu * (3.0 * lam + 2.0 * mu) / (lam + mu), lam / (2.0 * (lam + mu))
 
 
 # strength loss per unit tan(inclination) of a fiber pulled out obliquely

@@ -26,8 +26,6 @@ import numpy as np
 # index pairs for the six Voigt slots
 VOIGT_PAIRS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 
-_SQRT2 = np.sqrt(2.0)
-
 
 def isotropic_stiffness(E, nu):
     """6x6 isotropic stiffness from Young's modulus and Poisson ratio."""
@@ -65,20 +63,3 @@ def isotropic_projection(M, shear_rows):
     out = np.diag([beta] * 3 + [0.5 * shear_rows * beta] * 3)
     out[:3, :3] += alpha - beta / 3.0
     return out
-
-
-def isotropic_part(C):
-    """Closest isotropic stiffness to C plus a relative anisotropy measure.
-
-    Returns (C_iso, E, nu, aniso) where aniso = ||C - C_iso||_F / ||C||_F.
-    """
-    C_iso = isotropic_projection(C, 1)
-    lam, mu = C_iso[0, 1], C_iso[3, 3]
-    E = mu * (3.0 * lam + 2.0 * mu) / (lam + mu)
-    nu = lam / (2.0 * (lam + mu))
-    # frame-invariant (Kelvin) norm: weight shear rows/columns by sqrt(2)
-    k = np.array([1.0, 1.0, 1.0, _SQRT2, _SQRT2, _SQRT2])
-    w = np.outer(k, k)
-    nrm = np.linalg.norm(C * w)
-    aniso = np.linalg.norm((C - C_iso) * w) / nrm if nrm > 0.0 else 0.0
-    return C_iso, E, nu, aniso

@@ -1,4 +1,5 @@
-"""Shared material cards plus the acceptance-line echo.
+"""Shared material cards, the anisotropy measure, and the
+acceptance-line echo.
 
 Two reference systems: a structural panel resin (percolated at 1%
 filler) and the dog-bone coupon material used for the resistance
@@ -6,8 +7,10 @@ validation.  Acceptance tests append their `[accept NN]` lines to
 `acceptance_lines`; the terminal-summary hook echoes them after the run.
 """
 
+import numpy as np
 import pytest
 
+from piezofrac import tensors
 from piezofrac.materials import preset
 
 acceptance_lines = []
@@ -21,6 +24,17 @@ def panel():
 @pytest.fixture(scope="session")
 def dogbone():
     return preset("dwcnt_epoxy")
+
+
+def anisotropy(C):
+    """Relative distance ||C - C_iso||_F / ||C||_F of the 6x6 stiffness C
+    from its isotropic part C_iso (`tensors.isotropic_projection`)."""
+    C_iso = tensors.isotropic_projection(C, 1)
+    # frame-invariant (Kelvin) norm: weight shear rows/columns by sqrt(2)
+    k = np.array([1.0, 1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0)])
+    w = np.outer(k, k)
+    nrm = np.linalg.norm(C * w)
+    return np.linalg.norm((C - C_iso) * w) / nrm if nrm > 0.0 else 0.0
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

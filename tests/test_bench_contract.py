@@ -6,7 +6,9 @@ count, the factor returned by `solver.splu`, the file `write_vtk`
 wrote), then checks the run's outputs against `perfbench/reference.json`:
 the FE workloads' curves, and on `props` the 28 cards (within 1e-9 of
 each column's largest value) and the three trend flags.  A change to any of those signatures or outputs
-fails here, in the test suite, and not only in a benchmark run.
+fails here, in the test suite, and not only in a benchmark run.  The
+traced count of `conduction.effective_conductivity` calls is pinned
+too.
 """
 
 import json
@@ -49,3 +51,8 @@ def test_traced_workload_matches_reference(workload, tmp_path):
         assert len(res["steps_s"]) == 28
     else:
         assert len(res["steps_s"]) >= 1
+    # a filled card evaluates its five conductivity states in one stacked
+    # call: 24 of the 28 props cards are filled, and an FE workload
+    # derives one card per process
+    calls = res["layers"]["conduction.effective_conductivity.calls"]
+    assert calls == (24 if workload == "props" else 1)

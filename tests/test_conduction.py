@@ -21,6 +21,11 @@ def _random_rotation(seed):
     return Q if np.linalg.det(Q) > 0.0 else -Q
 
 
+def _conductivity(spec, strain=None):
+    """The conductivity of one state (None: virgin), a stack of one."""
+    return conduction.effective_conductivity(spec, [strain])[0]
+
+
 # ------------------------------------------------------------- network
 
 
@@ -132,7 +137,7 @@ def test_effective_conductivity_rejects_inverted_volume(panel):
     eps = np.diag([0.01, 0.0, -1.2])
     R = _random_rotation(6)
     with pytest.raises(ValueError, match="inverts the volume"):
-        conduction.effective_conductivity(panel, R @ eps @ R.T)
+        _conductivity(panel, R @ eps @ R.T)
 
 
 def _density(stretches):
@@ -219,13 +224,22 @@ def test_principal_frame_is_read_only_and_matches_eigh():
     eps = np.array([[2e-4, 3e-5, -4e-5],
                     [3e-5, -6e-5, 5e-5],
                     [-4e-5, 5e-5, -6e-5]])
-    lam, V = conduction._principal_frame(eps.tobytes())
+    lam, V, M2 = conduction._principal_frame(eps.tobytes())
     ev, V_ref = np.linalg.eigh(eps)
     assert lam == tuple(1.0 + v for v in ev.tolist())
     assert np.array_equal(V, V_ref)
+    assert M2 is conduction._second_moment(lam)
     assert not V.flags.writeable
     with pytest.raises(ValueError):
         V[0, 0] = 0.0
+
+
+def test_principal_frame_moment_of_unstrained_and_inverted_states():
+    _, _, M2 = conduction._principal_frame(np.zeros((3, 3)).tobytes())
+    assert M2 is conduction._ISOTROPIC_MOMENT
+    inverted = np.diag([0.01, 0.0, -1.2])
+    lam, _, M2 = conduction._principal_frame(inverted.tobytes())
+    assert min(lam) <= 0.0 and M2 is None
 
 
 def test_frame_is_keyed_on_the_strain_not_its_memory(panel):
@@ -236,10 +250,10 @@ def test_frame_is_keyed_on_the_strain_not_its_memory(panel):
                     [-1e-5, -6e-5, 5e-5],
                     [2e-5, 1e-5, -6e-5]])
     conduction._principal_frame.cache_clear()
-    want = conduction.effective_conductivity(panel, np.ascontiguousarray(eps.T))
+    want = _conductivity(panel, np.ascontiguousarray(eps.T))
     conduction._principal_frame.cache_clear()
-    other = conduction.effective_conductivity(panel, eps)
-    got = conduction.effective_conductivity(panel, np.asfortranarray(eps.T))
+    other = _conductivity(panel, eps)
+    got = _conductivity(panel, np.asfortranarray(eps.T))
     assert np.array_equal(got, want)
     assert not np.array_equal(got, other)
 
@@ -251,9 +265,12 @@ def test_public_results_are_fresh_and_writeable(panel):
     eps = np.diag([1e-5, 0.0, 0.0])
     results = [lambda s=s: elastic.effective_stiffness(s)
                for s in (panel, panel.with_filler(0.0), no_contrast)]
-    results += [lambda s=s, e=e: conduction.effective_conductivity(s, e)
+    results += [lambda s=s, e=e: _conductivity(s, e)
                 for s in (panel, panel.with_filler(0.0))
                 for e in (None, eps)]
+    results += [lambda s=s: conduction.effective_conductivity(
+                    s, conduction._FD_STATES)
+                for s in (panel, panel.with_filler(0.0))]
     for result in results:
         first = result()
         want = first.copy()
@@ -276,6 +293,60 @@ def _clear_caches():
     elastic._break_points.cache_clear()
 
 
+def _stack_states():
+    """The virgin state, the four finite-difference strains, a general
+    strain, and that strain rotated."""
+    eps = np.array([[2e-4, 3e-5, -4e-5],
+                    [3e-5, -6e-5, 5e-5],
+                    [-4e-5, 5e-5, -6e-5]])
+    R = _random_rotation(8)
+    return [*conduction._FD_STATES, eps, R @ eps @ R.T]
+
+
+def test_stack_slices_equal_one_state_calls(panel, dogbone):
+    """Each slice of a stack is, bit for bit, the one-state call of the
+    same strain, in either state order and from cold caches."""
+    f_c = conduction.percolation_threshold(panel.kappa)
+    states = _stack_states()
+    for card in (panel, dogbone, panel.with_filler(0.5 * f_c),
+                 panel.with_filler(0.0)):
+        _clear_caches()
+        forward = conduction.effective_conductivity(card, states)
+        _clear_caches()
+        backward = conduction.effective_conductivity(card, states[::-1])
+        _clear_caches()
+        single = [_conductivity(card, e) for e in states]
+        assert forward.shape == backward.shape == (len(states), 3, 3)
+        for k, want in enumerate(single):
+            assert np.array_equal(forward[k], want)
+            assert np.array_equal(backward[-1 - k], want)
+
+
+def _raised(f):
+    with pytest.raises(ValueError) as info:
+        f()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_stack_raises_the_faulty_states_message(panel, k):
+    """A stack whose k-th state inverts the volume, or pushes the dressed
+    filler fraction to 1, raises that state's own message."""
+    # at f_p = 0.95 the dressed hopping fraction is just below 1, and 2%
+    # compression pushes it past 1
+    dense = panel.with_filler(0.95)
+    for card, bad, message in (
+            (panel, np.diag([0.01, 0.0, -1.2]), "inverts the volume"),
+            (dense, np.diag([-0.02, 0.0, 0.0]), "dressed filler fraction")):
+        states = list(conduction._FD_STATES)
+        states[k] = bad
+        want = _raised(lambda: _conductivity(card, bad))
+        assert message in want
+        assert _raised(
+            lambda: conduction.effective_conductivity(card, states)) == want
+    assert _conductivity(dense, None)[0, 0] > 0.0
+
+
 @pytest.mark.parametrize("field, value", [
     ("D_cnt", 12e-9), ("L_cnt", 2.5e-6), ("sigma_cnt", 250.0),
     ("d_c", 0.25e-9), ("lambda_eV", 0.6)])
@@ -290,10 +361,10 @@ def test_effective_conductivity_warm_equals_cold_per_hopping_field(
     spec = replace(below, **{field: value})
     assert conduction.percolation_threshold(spec.kappa) > spec.f_p0
     conduction._hopping_channel.cache_clear()
-    base = conduction.effective_conductivity(below)
-    warm = conduction.effective_conductivity(spec)
+    base = _conductivity(below)
+    warm = _conductivity(spec)
     conduction._hopping_channel.cache_clear()
-    cold = conduction.effective_conductivity(spec)
+    cold = _conductivity(spec)
     assert np.array_equal(warm, cold)
     assert not np.array_equal(warm, base)
 
@@ -340,12 +411,12 @@ def test_percolation_onset_rises_under_fiber_alignment():
 
 
 def test_effective_conductivity_zero_filler_is_matrix(panel):
-    s = conduction.effective_conductivity(panel.with_filler(0.0))
+    s = _conductivity(panel.with_filler(0.0))
     assert np.array_equal(s, panel.sigma_m * np.eye(3))
 
 
 def test_effective_conductivity_isotropic_and_spd_at_rest(panel):
-    s = conduction.effective_conductivity(panel)
+    s = _conductivity(panel)
     assert np.allclose(s, s.T)
     assert np.allclose(s - np.diag(np.diag(s)), 0.0, atol=1e-15 * s[0, 0])
     assert np.allclose(np.diag(s), s[0, 0], rtol=1e-12)
@@ -353,33 +424,33 @@ def test_effective_conductivity_isotropic_and_spd_at_rest(panel):
 
 
 def test_effective_conductivity_regressions(panel, dogbone):
-    s = conduction.effective_conductivity(panel)
+    s = _conductivity(panel)
     assert np.isclose(s[0, 0], 0.1035119937463155, rtol=1e-9)
-    s4 = conduction.effective_conductivity(panel.with_filler(0.04))
+    s4 = _conductivity(panel.with_filler(0.04))
     assert np.isclose(s4[0, 0], 1.0022235518484675, rtol=1e-9)
-    sd = conduction.effective_conductivity(dogbone)
+    sd = _conductivity(dogbone)
     assert np.isclose(sd[0, 0], 0.08995690389464155, rtol=1e-9)
 
 
 def test_effective_conductivity_jumps_at_onset(panel):
     f_c = conduction.percolation_threshold(panel.kappa)
-    below = conduction.effective_conductivity(panel.with_filler(0.5 * f_c))
-    above = conduction.effective_conductivity(panel.with_filler(2.0 * f_c))
+    below = _conductivity(panel.with_filler(0.5 * f_c))
+    above = _conductivity(panel.with_filler(2.0 * f_c))
     assert above[0, 0] / below[0, 0] > 1e3
 
 
 def test_effective_conductivity_rotation_equivariance(panel):
     eps = np.diag([0.01, -0.002, -0.003])
     R = _random_rotation(7)
-    s_rot = conduction.effective_conductivity(panel, strain=R @ eps @ R.T)
-    s_ref = conduction.effective_conductivity(panel, strain=eps)
+    s_rot = _conductivity(panel, R @ eps @ R.T)
+    s_ref = _conductivity(panel, eps)
     assert np.allclose(s_rot, R @ s_ref @ R.T, atol=1e-12 * s_ref[0, 0])
 
 
 def test_effective_conductivity_strain_shifts_axial_value(panel):
-    s0 = conduction.effective_conductivity(panel)[0, 0]
+    s0 = _conductivity(panel)[0, 0]
     eps = np.diag([0.01, -0.0028, -0.0028])
-    s = conduction.effective_conductivity(panel, strain=eps)
+    s = _conductivity(panel, eps)
     assert not np.isclose(s[0, 0], s0, rtol=1e-5)
     # transverse axes stay degenerate for a transversely isotropic strain
     assert np.isclose(s[1, 1], s[2, 2], rtol=1e-10)
@@ -410,7 +481,7 @@ def test_resistivity_update_consistent_with_conductivity_derivative(panel):
                     [3e-5, -6e-5, 5e-5],
                     [-4e-5, 5e-5, -6e-5]])
     rho_lin = np.linalg.inv(sys_.conductivity(voigt.reshape(1, 1, 6))[0, 0])
-    rho_exact = np.linalg.inv(conduction.effective_conductivity(panel, eps))
+    rho_exact = np.linalg.inv(_conductivity(panel, eps))
     # the strain-induced change agrees to second order in the strain
     change = rho_exact - rho0 * np.eye(3)
     assert np.abs(rho_lin - rho_exact).max() < 1e-3 * np.abs(change).max()

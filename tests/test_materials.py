@@ -72,7 +72,7 @@ def test_derive_properties_consistency(panel):
     assert np.isclose(p.E, E, rtol=1e-12)
     assert np.isclose(p.nu, nu, rtol=1e-12)
     assert np.isclose(p.Gc, elastic.fracture_energy(panel), rtol=1e-12)
-    sig = conduction.effective_conductivity(panel)
+    sig = conduction.effective_conductivity(panel, [None])[0]
     assert np.isclose(p.sigma0, np.trace(sig) / 3.0, rtol=1e-12)
     assert np.isclose(p.rho0 * p.sigma0, 1.0, rtol=1e-12)
     assert np.isclose(p.f_c, conduction.percolation_threshold(panel.kappa),
