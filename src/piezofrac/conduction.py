@@ -9,25 +9,29 @@ the filler volume change, fiber reorientation, and the shift of the
 percolation onset; differentiating the resulting resistivity yields
 the linearized piezoresistive coefficients used by the field solver.
 
-The orientation moment and the percolation-onset pair integral use
-fixed Gauss-Legendre rules.  Their nodes, weights and fixed trigonometric
-factors (among them the sines and cosines of both node grids) are built
-once, at import, as read-only module arrays; an evaluation only computes
-the strained density `_strained_density` on them.
+A state is a triple of principal stretches along x, y and z: the field
+solver's law reads the response only through lam11 and lam12 (lam44 =
+(lam11 - lam12) / 2), and these are central differences under a
+uniaxial stretch along x.  A card evaluates the virgin state and four
+such stretches (`_FD_STATES`) in one `effective_conductivity` call: the
+scalar work and its checks run state by state, the tensor work once
+over the stack.
 
-A card's piezoresistive finite differences evaluate the virgin state
-and four uniaxial strains (`_FD_STATES`) in one `effective_conductivity`
-call, which takes a sequence of states and returns their stacked
-conductivities: the scalar work and its checks run state by state, and
-the tensor work once over the stack.
+The orientation moment and the percolation-onset pair integral use
+fixed Gauss-Legendre rules, built once, at import, as read-only module
+arrays (nodes, weights, and the sines and cosines of both node grids);
+an evaluation only computes the strained density `_strained_density`
+on them.  The rules are not symmetric in their three axes, so their
+quadrature error depends on which rule axis carries which stretch:
+both see the stretches in ascending order, and the moment is permuted
+back to x, y and z.
 
 What a material card shares with its neighbours is memoized, and the
 memoized arrays are read-only.  Every card strains the same four
 states, so only the first card evaluates, for each of them, the
-principal frame and orientation moment (`_principal_frame`, keyed on
-the strain's bytes) and the onset pair integral (`_pair_integral`,
-keyed on the principal stretches, like the moment's own memo
-`_second_moment`).  The hopping channel's dressed cylinder and its
+orientation moment (`_second_moment`, keyed on the stretches along the
+axes) and the onset pair integral (`_pair_integral`, keyed on the
+ascending stretches).  The hopping channel's dressed cylinder and its
 depolarization factor (`_hopping_channel`) depend on the fiber's D, L,
 conductivity and barrier and on the cutoff distance alone, so every
 filler fraction of one fiber shares them; the network channel's gap
@@ -171,9 +175,10 @@ def _hopping_channel(fiber, d_c):
 
 
 def _checked_stretches(stretches):
+    """The three stretches as Python floats; each must be positive."""
     l1, l2, l3 = (float(v) for v in stretches)
     if min(l1, l2, l3) <= 0.0:
-        raise ValueError(f"stretches must be positive: {(l1, l2, l3)}")
+        raise ValueError("deformation inverts the volume")
     return l1, l2, l3
 
 
@@ -241,10 +246,10 @@ def _moment_rule():
 # the identity, and the orientation moment of the uniform density
 _EYE3, _ISOTROPIC_MOMENT = _read_only(np.eye(3), np.eye(3) / 3.0)
 # the states of the piezoresistive finite differences: the virgin state,
-# then the uniaxial strains +-step and +-step/2 along axis 0
-_FD_STATES = (None, *_read_only(*(
-    np.diag([delta, 0.0, 0.0])
-    for delta in (_FD_STEP, -_FD_STEP, 0.5 * _FD_STEP, -0.5 * _FD_STEP))))
+# then the uniaxial stretches 1 +- step and 1 +- step/2 along x
+_FD_STATES = ((1.0, 1.0, 1.0), *(
+    (1.0 + delta, 1.0, 1.0)
+    for delta in (_FD_STEP, -_FD_STEP, 0.5 * _FD_STEP, -0.5 * _FD_STEP)))
 
 
 @lru_cache(maxsize=256)
@@ -285,16 +290,21 @@ def percolation_threshold(s, stretches=(1.0, 1.0, 1.0)):
 
 @lru_cache(maxsize=256)
 def _second_moment(stretches):
-    """<m x m> of the fiber axis under the normalized strained density.
-
-    Read-only, since every caller with the same stretches shares it.
-    """
+    """<m x m> of the fiber axis under the normalized strained density
+    at positive stretches along x, y and z; read-only, as every caller
+    with the same stretches shares it.  Uniform within 1e-14 of unit
+    stretch; otherwise the rule runs at the ascending stretches and its
+    result is permuted back to x, y and z."""
+    if all(abs(v - 1.0) <= 1e-14 for v in stretches):
+        return _ISOTROPIC_MOMENT
+    order = sorted(range(3), key=stretches.__getitem__)
     wt = _MOMENT_WEIGHT * _strained_density(
-        *_checked_stretches(stretches),
+        *(stretches[k] for k in order),
         _MOMENT_SIN1, _MOMENT_COS1, _MOMENT_SIN2, _MOMENT_COS2)
     wt = wt / np.sum(wt)
-    return _read_only(
-        np.einsum("iab,jab,ab->ij", _MOMENT_AXES, _MOMENT_AXES, wt))[0]
+    M2 = np.einsum("iab,jab,ab->ij", _MOMENT_AXES, _MOMENT_AXES, wt)
+    back = np.argsort(order)
+    return _read_only(M2[np.ix_(back, back)])[0]
 
 
 def _channel_coeffs(sig_L, sig_T, S11, f_eff, sigma_m):
@@ -311,26 +321,6 @@ def _channel_coeffs(sig_L, sig_T, S11, f_eff, sigma_m):
     return f_eff * (sig_T - sigma_m) * AT, f_eff * (sig_L - sigma_m) * AL
 
 
-@lru_cache(maxsize=256)
-def _principal_frame(strain_bytes):
-    """Principal stretches (Python floats), the read-only frame and the
-    orientation moment of the 3x3 float strain with these C-order bytes.
-
-    The moment is None when a stretch is not positive, and the uniform
-    one when every stretch is within 1e-14 of 1.
-    """
-    strain = np.frombuffer(strain_bytes).reshape(3, 3)
-    ev, V = np.linalg.eigh(strain)
-    lam = tuple(1.0 + v for v in ev.tolist())
-    if min(lam) <= 0.0:
-        M2 = None
-    elif any(abs(v - 1.0) > 1e-14 for v in lam):
-        M2 = _second_moment(lam)
-    else:
-        M2 = _ISOTROPIC_MOMENT
-    return lam, _read_only(V)[0], M2
-
-
 # a state's channel coefficients: per channel (hopping, network) its
 # weight, xT and xL - xT; an absent channel contributes exactly zero
 _NO_CHANNELS = (0.0,) * 6
@@ -338,46 +328,36 @@ _NO_CHANNELS = (0.0,) * 6
 
 def effective_conductivity(spec, states):
     """Effective 3x3 conductivities of the composite at a sequence of
-    strains.
+    states.
 
-    Each state is a 3x3 small-strain tensor, or None for the virgin
-    state.  Returns their (n, 3, 3) stack, each symmetric positive
-    definite; the virgin state's is isotropic.  The scalar work and its
-    checks run state by state, in order; the channel tensors are then
-    assembled, rotated to the strain's frame, symmetrized and checked
-    for positive definiteness once, over the whole stack.
+    Each state is a triple of principal stretches along x, y and z;
+    (1, 1, 1) is the virgin state.  Returns their (n, 3, 3) stack, each
+    symmetric positive definite; the virgin state's is isotropic.  The
+    scalar work and its checks run state by state, in order; the
+    channel tensors are then assembled and checked for positive
+    definiteness once, over the whole stack.
     """
     sigma_m = spec.sigma_m
     fiber = _Fiber(spec.D_cnt, spec.L_cnt, spec.sigma_cnt, spec.lambda_eV)
-    frames, moments, coeffs = [], [], []
-    for strain in states:
-        # the principal stretches stay Python floats: they key the onset
-        # and moment caches, and a 3-vector is cheaper to test without
-        # numpy; the virgin state's frame is the identity, an exact product
-        if strain is None:
-            lam, V, M2 = (1.0, 1.0, 1.0), _EYE3, _ISOTROPIC_MOMENT
-        else:
-            strain = np.asarray(strain, dtype=float)
-            if strain.shape != (3, 3):
-                raise ValueError(
-                    f"expected a 3x3 strain, got shape {strain.shape}")
-            lam, V, M2 = _principal_frame(strain.tobytes())
-            if min(lam) <= 0.0:
-                raise ValueError("deformation inverts the volume")
-
-        f_p = spec.f_p0 / (lam[0] * lam[1] * lam[2])
+    moments, coeffs = [], []
+    for state in states:
+        # Python floats: they key the onset and moment caches, and a
+        # 3-vector is cheaper to test without numpy; the volume ratio and
+        # the onset take them in ascending order, so a permuted state is
+        # the permuted conductivity bit for bit
+        lam = _checked_stretches(state)
+        asc = sorted(lam)
+        f_p = spec.f_p0 / (asc[0] * asc[1] * asc[2])
         if not 0.0 <= f_p < 1.0:
             raise ValueError(f"strained filler fraction outside [0, 1): {f_p}")
         if f_p == 0.0:
-            # the matrix alone, the same in every frame
-            frames.append(_EYE3)
+            # the matrix alone
             moments.append(_ISOTROPIC_MOMENT)
             coeffs.append(_NO_CHANNELS)
             continue
-        frames.append(V)
-        moments.append(M2)
+        moments.append(_second_moment(lam))
 
-        f_c = percolation_threshold(spec.kappa, lam)
+        f_c = percolation_threshold(spec.kappa, asc)
         xi = percolated_fraction(f_p, f_c)
 
         # hopping between isolated fibers at the cutoff distance, and the
@@ -404,9 +384,6 @@ def effective_conductivity(spec, states):
         2, 0, 1, 3, 4)
     terms = w * (xT * _EYE3 + dx * np.array(moments)[:, None])
     out = terms[:, 0] + terms[:, 1] + sigma_m * _EYE3
-    V = np.array(frames)
-    out = V @ out @ V.transpose(0, 2, 1)
-    out = 0.5 * (out + out.transpose(0, 2, 1))
     if np.linalg.eigvalsh(out).min() <= 0.0:
         raise ValueError("effective conductivity lost positive definiteness")
     return out
@@ -416,7 +393,7 @@ def piezoresistivity_coeffs(spec):
     """Linearized resistivity sensitivities to normal strain.
 
     Central finite differences of the effective resistivity under a
-    small uniaxial strain give (rho0, lam11, lam12): the relative
+    small uniaxial stretch give (rho0, lam11, lam12): the relative
     change of the axial and transverse resistivities per unit strain.
     The step is verified by halving it; a shift beyond 1% raises.  The
     virgin state and the four strained ones (`_FD_STATES`) are one

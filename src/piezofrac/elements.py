@@ -179,25 +179,28 @@ class Constraints:
         return self._groups[name][2]
 
     def build(self):
-        """(fixed_dofs, fixed_values, free_dofs) with duplicates rejected."""
-        if not self._groups:
-            fixed = np.empty(0, dtype=np.int64)
-            vals = np.empty(0)
-        else:
-            parts = [(d, p * v) for d, p, v in self._groups.values()]
-            fixed = np.concatenate([p[0] for p in parts])
-            vals = np.concatenate([p[1] for p in parts])
+        """(fixed_dofs, fixed_values, free_dofs); groups sharing a DOF
+        must prescribe exactly the same value there (e.g. a corner pinned
+        twice), or the error names the DOF and both groups."""
+        names, groups = list(self._groups), list(self._groups.values())
+        fixed = np.concatenate([np.empty(0, np.int64),
+                                *(d for d, _, _ in groups)])
+        vals = np.concatenate([np.empty(0), *(p * v for _, p, v in groups)])
+        owner = np.repeat(np.arange(len(groups)),
+                          [d.size for d, _, _ in groups])
         order = np.argsort(fixed, kind="stable")
-        fixed, vals = fixed[order], vals[order]
+        fixed, vals, owner = fixed[order], vals[order], owner[order]
         dup = np.flatnonzero(np.diff(fixed) == 0)
-        if dup.size:
-            # overlapping groups must agree (e.g. a corner pinned twice)
-            if not np.allclose(vals[dup], vals[dup + 1]):
-                raise ValueError(
-                    f"conflicting constraints on dof {fixed[dup[0]]}")
-            keep = np.ones(fixed.size, dtype=bool)
-            keep[dup] = False
-            fixed, vals = fixed[keep], vals[keep]
+        clash = dup[vals[dup] != vals[dup + 1]]
+        if clash.size:
+            i = clash[0]
+            raise ValueError(
+                f"conflicting constraints on dof {fixed[i]}: group "
+                f"'{names[owner[i]]}' prescribes {float(vals[i])!r}, group "
+                f"'{names[owner[i + 1]]}' {float(vals[i + 1])!r}")
+        keep = np.ones(fixed.size, dtype=bool)
+        keep[dup] = False
+        fixed, vals = fixed[keep], vals[keep]
         free = np.setdiff1d(np.arange(self.dofmap.ndof), fixed,
                             assume_unique=False)
         return fixed, vals, free

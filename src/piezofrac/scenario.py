@@ -242,6 +242,19 @@ def _validate(sc, name):
         raise SchemaError(f"{name}: ell_over_h must be >= 1")
     if not math.isnan(pf["ell"]) and pf["ell"] <= 0.0:
         raise SchemaError(f"{name}: ell must be positive when given")
+    # the degradations need k > 0, n >= 1 and a positive residual, as
+    # `solver.MaterialPoint` does; a sweep grid stands in for k or n
+    positive = (lambda v: v > 0.0, "> 0")
+    at_least_one = (lambda v: v >= 1.0, ">= 1")
+    for key, values, (ok, bound) in (
+            ("phase_field.k", (pf["k"],), positive),
+            ("phase_field.n", (pf["n"],), at_least_one),
+            ("phase_field.eps_reg", (pf["eps_reg"],), positive),
+            ("sweep.k_values", sc.sweep["k_values"], positive),
+            ("sweep.n_values", sc.sweep["n_values"], at_least_one)):
+        bad = [v for v in values if not ok(v)]
+        if bad:
+            raise SchemaError(f"{name}: {key} must be {bound}, got {bad[0]!r}")
     if sc.mc["replicates"] < 1:
         raise SchemaError(f"{name}: mc.replicates must be >= 1")
     for sec, key in (("mc", "seed"), ("solver", "max_cutbacks"),

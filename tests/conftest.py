@@ -1,5 +1,5 @@
-"""Shared material cards, the anisotropy measure, and the
-acceptance-line echo.
+"""Shared material cards, the anisotropy measure, the memo reset, and
+the acceptance-line echo.
 
 Two reference systems: a structural panel resin (percolated at 1%
 filler) and the dog-bone coupon material used for the resistance
@@ -7,9 +7,13 @@ validation.  Acceptance tests append their `[accept NN]` lines to
 `acceptance_lines`; the terminal-summary hook echoes them after the run.
 """
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import piezofrac
 from piezofrac import tensors
 from piezofrac.materials import preset
 
@@ -35,6 +39,17 @@ def anisotropy(C):
     w = np.outer(k, k)
     nrm = np.linalg.norm(C * w)
     return np.linalg.norm((C - C_iso) * w) / nrm if nrm > 0.0 else 0.0
+
+
+def clear_caches():
+    """Empty every memo of the package: each module-level name of a
+    `piezofrac` module that has a `cache_clear`, so a cold-cache test
+    also reaches a memo added later."""
+    for info in pkgutil.iter_modules(piezofrac.__path__):
+        module = importlib.import_module(f"piezofrac.{info.name}")
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -2,6 +2,8 @@
 
 import re
 
+import pytest
+
 from piezofrac import cli
 
 CRACKING = """
@@ -85,6 +87,26 @@ def test_negative_seed_flag_is_schema_error(capsys):
     code = cli.main(["mc", "--scenario", "canned:defects", "--seed", "-5"])
     assert code == cli.EXIT_SCHEMA
     assert "mc.seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, section, line", [
+    ("mc", "phase_field", "k = -1"),
+    ("run", "sweep", "k_values = 10, -5"),
+])
+def test_bad_degradation_parameter_is_schema_error(tmp_path, capsys, verb,
+                                                   section, line):
+    """Rejected before any case runs: no replicate is recorded as failed
+    and no sweep case writes its artifacts."""
+    p = tmp_path / "case.cfg"
+    p.write_text(CRACKING + f"[{section}]\n{line}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [verb, "--scenario", str(p), "--out", str(out)]
+    if verb == "mc":
+        argv += ["--replicates", "2"]
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    key = line.split(" = ")[0]
+    assert f"{section}.{key} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_preset_on_weight_route_is_named(tmp_path, capsys):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from conftest import anisotropy
+from conftest import anisotropy, clear_caches
 from piezofrac import elastic, tensors
 from piezofrac.elastic import PhaseContrastError
 from piezofrac.materials import CompositeSpec
@@ -276,10 +276,10 @@ def test_effective_stiffness_warm_equals_cold_per_phase_field(panel, field,
                                                              value):
     """Each field of the phase-average key reaches the cache key."""
     spec = replace(panel, **{field: value})
-    elastic._phase_averages.cache_clear()
+    clear_caches()
     base = elastic.effective_stiffness(panel)
     warm = elastic.effective_stiffness(spec)
-    elastic._phase_averages.cache_clear()
+    clear_caches()
     cold = elastic.effective_stiffness(spec)
     assert np.array_equal(warm, cold)
     assert not np.array_equal(warm, base)
@@ -387,14 +387,14 @@ def test_fracture_energy_warm_equals_cold_per_break_point_field(
     """Each field of the break-point key reaches the cache key; the
     snubbing constant is read when the energy is computed."""
     spec = panel
-    elastic._break_points.cache_clear()
+    clear_caches()
     base = elastic.fracture_energy(panel)
     if field == "_A_SNUB":
         monkeypatch.setattr(elastic, field, value)
     else:
         spec = replace(panel, **{field: value})
     warm = elastic.fracture_energy(spec)
-    elastic._break_points.cache_clear()
+    clear_caches()
     cold = elastic.fracture_energy(spec)
     assert warm == cold
     assert warm != base

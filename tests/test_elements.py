@@ -159,7 +159,20 @@ def test_constraints_conflict_rejected():
     con = elements.Constraints(dm)
     con.fix("a", [0, 1], value=1.0)
     con.fix("b", [1, 2], value=2.0)
-    with pytest.raises(ValueError, match="conflicting"):
+    with pytest.raises(ValueError, match="conflicting.*'a'.*'b'"):
+        con.build()
+
+
+def test_constraints_nearly_equal_values_conflict():
+    """Groups agree on a shared DOF only with exactly equal values: 5e-9
+    (metres or volts) against 0 is a conflict, not a merge."""
+    m = meshing.structured_mesh((1.0, 1.0), (2, 2))
+    con = elements.Constraints(elements.DofMap(m))
+    con.fix("tiny", [0, 1], value=5e-9)
+    con.fix("zero", [1, 2], value=0.0)
+    with pytest.raises(ValueError,
+                       match=r"dof 1: group 'tiny' prescribes 5e-09, "
+                             r"group 'zero' 0\.0"):
         con.build()
 
 

@@ -1,11 +1,16 @@
 """Tests of the material parameter records and the derived-property bundle."""
 
+import ast
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from dataclasses import replace
 
+import piezofrac
+from conftest import clear_caches
 from piezofrac import cli, conduction, elastic
 from piezofrac.materials import (EffectiveProperties, derive_properties,
                                  mass_to_volume_fraction, preset)
@@ -72,7 +77,7 @@ def test_derive_properties_consistency(panel):
     assert np.isclose(p.E, E, rtol=1e-12)
     assert np.isclose(p.nu, nu, rtol=1e-12)
     assert np.isclose(p.Gc, elastic.fracture_energy(panel), rtol=1e-12)
-    sig = conduction.effective_conductivity(panel, [None])[0]
+    sig = conduction.effective_conductivity(panel, [(1.0, 1.0, 1.0)])[0]
     assert np.isclose(p.sigma0, np.trace(sig) / 3.0, rtol=1e-12)
     assert np.isclose(p.rho0 * p.sigma0, 1.0, rtol=1e-12)
     assert np.isclose(p.f_c, conduction.percolation_threshold(panel.kappa),
@@ -80,6 +85,23 @@ def test_derive_properties_consistency(panel):
     rho0, l11, l12 = conduction.piezoresistivity_coeffs(panel)
     assert np.isclose(p.lam11, l11, rtol=1e-12)
     assert np.isclose(p.lam12, l12, rtol=1e-12)
+
+
+def test_clear_caches_empties_every_memo(panel):
+    """Each function the package's source decorates with `lru_cache` is
+    module-level, and `conftest.clear_caches` empties it."""
+    derive_properties(panel.with_filler(0.0137))
+    clear_caches()
+    memos = []
+    for path in sorted(Path(piezofrac.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.FunctionDef)
+                    and any("lru_cache" in ast.unparse(d)
+                            for d in node.decorator_list)):
+                module = importlib.import_module(f"piezofrac.{path.stem}")
+                memos.append(getattr(module, node.name))
+    assert len(memos) >= 8
+    assert all(m.cache_info().currsize == 0 for m in memos)
 
 
 def test_derive_properties_unfilled_matrix(panel):

@@ -139,6 +139,20 @@ def test_replace_validates_its_result(section, key):
         sc.replace(section, **{key: -5})
 
 
+@pytest.mark.parametrize("section, key, bad, edge", [
+    ("phase_field", "k", "0", "1e-3"),
+    ("phase_field", "n", "0.99", "1"),
+    ("phase_field", "eps_reg", "-1e-7", "1e-12"),
+    ("sweep", "k_values", "10, nan", "10, 1e-3"),
+    ("sweep", "n_values", "1, 0", "1, 2"),
+])
+def test_degradation_bounds_rejected_by_key(section, key, bad, edge):
+    with pytest.raises(scenario.SchemaError,
+                       match=rf"f: {section}\.{key} must be"):
+        scenario.parse_text(f"[{section}]\n{key} = {bad}\n", "f")
+    scenario.parse_text(f"[{section}]\n{key} = {edge}\n", "f")
+
+
 def test_resolve_weight_fraction_names_unknown_preset():
     sc = scenario.parse_text("[material]\npreset = foo\nwt = 0.01\n", "f")
     with pytest.raises(KeyError, match=r"unknown material preset 'foo'"):
