@@ -17,14 +17,15 @@ such stretches (`_FD_STATES`) in one `effective_conductivity` call: the
 scalar work and its checks run state by state, the tensor work once
 over the stack.
 
-The orientation moment and the percolation-onset pair integral use
-fixed Gauss-Legendre rules, built once, at import, as read-only module
-arrays (nodes, weights, and the sines and cosines of both node grids);
-an evaluation only computes the strained density `_strained_density`
-on them.  The rules are not symmetric in their three axes, so their
-quadrature error depends on which rule axis carries which stretch:
-both see the stretches in ascending order, and the moment is permuted
-back to x, y and z.
+Two strain effects have different forms.  The orientation moment
+<m x m> is taken to first order in the strain, I/3 + (2/5) dev e
+(`_second_moment`): the field solver reads only the slope at zero
+strain.  The percolation-onset pair integral integrates the strained
+density `_strained_density` on a fixed 48-point Gauss-Legendre rule,
+built once, at import, as read-only module arrays (nodes, weights, and
+the sines and cosines of both node grids).  The rule is not symmetric in
+its three axes, so its quadrature error depends on which rule axis
+carries which stretch: it sees the stretches in ascending order.
 
 What a material card shares with its neighbours is memoized, and the
 memoized arrays are read-only.  Every card strains the same four
@@ -49,10 +50,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.constants import e as _E_CHARGE, h as _H_PLANCK, m_e as _M_ELECTRON
 
-# Gauss-Legendre orders of the strained orientation moment and of the
-# percolation-onset pair integral, and the strain step of the
-# piezoresistive finite differences
-_MOMENT_ORDER = 32
+# Gauss-Legendre order of the percolation-onset pair integral, and the
+# strain step of the piezoresistive finite differences
 _ONSET_ORDER = 48
 _FD_STEP = 1e-5
 
@@ -219,30 +218,8 @@ def _onset_rule():
                       np.sin(G2), np.cos(G2))
 
 
-def _moment_rule():
-    """Node trigonometry, sin-weighted weights and fiber axes of the
-    moment rule.
-
-    The azimuth a1 runs over [0, 2pi] and the inclination a2 over
-    [0, pi/2]; the first four arrays are sin and cos of the (a1, a2)
-    node grids, and m[:, i, j] is the unit fiber axis at (a1_i, a2_j).
-    """
-    g1, w1 = np.polynomial.legendre.leggauss(_MOMENT_ORDER)
-    a1 = np.pi * (g1 + 1.0)
-    w1 = np.pi * w1
-    g2, w2 = np.polynomial.legendre.leggauss(_MOMENT_ORDER)
-    a2 = 0.25 * np.pi * (g2 + 1.0)
-    w2 = 0.25 * np.pi * w2
-    A1, A2 = np.meshgrid(a1, a2, indexing="ij")
-    s1, c1, s2, c2 = np.sin(A1), np.cos(A1), np.sin(A2), np.cos(A2)
-    m = np.stack([c1 * s2, s1 * s2, c2])
-    return _read_only(s1, c1, s2, c2, np.outer(w1, w2 * np.sin(a2)), m)
-
-
 (_ONSET_G, _ONSET_SIN, _ONSET_CC, _ONSET_AREA, _ONSET_SIN1, _ONSET_COS1,
  _ONSET_SIN2, _ONSET_COS2) = _onset_rule()
-(_MOMENT_SIN1, _MOMENT_COS1, _MOMENT_SIN2, _MOMENT_COS2, _MOMENT_WEIGHT,
- _MOMENT_AXES) = _moment_rule()
 # the identity, and the orientation moment of the uniform density
 _EYE3, _ISOTROPIC_MOMENT = _read_only(np.eye(3), np.eye(3) / 3.0)
 # the states of the piezoresistive finite differences: the virgin state,
@@ -290,21 +267,15 @@ def percolation_threshold(s, stretches=(1.0, 1.0, 1.0)):
 
 @lru_cache(maxsize=256)
 def _second_moment(stretches):
-    """<m x m> of the fiber axis under the normalized strained density
-    at positive stretches along x, y and z; read-only, as every caller
-    with the same stretches shares it.  Uniform within 1e-14 of unit
-    stretch; otherwise the rule runs at the ascending stretches and its
-    result is permuted back to x, y and z."""
-    if all(abs(v - 1.0) <= 1e-14 for v in stretches):
-        return _ISOTROPIC_MOMENT
-    order = sorted(range(3), key=stretches.__getitem__)
-    wt = _MOMENT_WEIGHT * _strained_density(
-        *(stretches[k] for k in order),
-        _MOMENT_SIN1, _MOMENT_COS1, _MOMENT_SIN2, _MOMENT_COS2)
-    wt = wt / np.sum(wt)
-    M2 = np.einsum("iab,jab,ab->ij", _MOMENT_AXES, _MOMENT_AXES, wt)
-    back = np.argsort(order)
-    return _read_only(M2[np.ix_(back, back)])[0]
+    """<m x m> of the fiber axis at positive stretches along x, y and z,
+    to first order in the strains e = stretch - 1: affine reorientation
+    of uniformly oriented fibers adds (2/5) dev e to the isotropic I/3
+    (Advani & Tucker, J. Rheol. 31, 1987).  The trace sums the sorted
+    strains, so a permuted state gives the permuted moment bit for bit;
+    read-only, as every caller with the same stretches shares it."""
+    e = [v - 1.0 for v in stretches]
+    mean = sum(sorted(e)) / 3.0
+    return _read_only(np.diag([1.0 / 3.0 + 0.4 * (v - mean) for v in e]))[0]
 
 
 def _channel_coeffs(sig_L, sig_T, S11, f_eff, sigma_m):

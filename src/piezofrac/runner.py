@@ -69,8 +69,7 @@ class RunSummary:
 def build_mesh(sc, rng=None):
     """Mesh with notch/holes/defects applied; returns (mesh, seed_ids, defects)."""
     g = sc.geometry
-    dim3 = g["kind"] == "cylinder"
-    if dim3:
+    if g["kind"] == "cylinder":
         m = meshing.structured_mesh(
             (g["length_x"], g["length_y"], g["length_z"]),
             (g["nx"], g["ny"], g["nz"]))
@@ -100,7 +99,7 @@ def build_mesh(sc, rng=None):
 
     # after holes and defects: the slit band keeps only live elements
     seed_ids = np.empty(0, dtype=np.int64)
-    if g["notch_mode"] != "none" and not dim3:
+    if g["notch_mode"] != "none":
         cx = g["notch_cx"]
         cy = g["notch_cy"]
         if math.isnan(cx):
@@ -115,7 +114,7 @@ def build_mesh(sc, rng=None):
         else:
             seed_ids = meshing.slit_elements(m, start, ang, g["notch_length"])
 
-    if dim3 and g["surface_notches"] > 0:
+    if g["surface_notches"] > 0:
         if rng is None:
             raise ValueError("surface notches need an RNG (set a seed)")
         seed_ids = _surface_flaws(m, g, rng)

@@ -209,10 +209,34 @@ def parse_scenario(path):
 
 
 def _validate(sc, name):
+    # a number is finite; NaN stands for "unset" only where it is the
+    # schema default
+    for sec, keys in _SCHEMA.items():
+        for key, (tag, default, _) in keys.items():
+            v = getattr(sc, sec)[key]
+            if tag == "float":
+                values = () if math.isnan(v) and math.isnan(default) else (v,)
+            elif tag == "floats":
+                values = v
+            elif tag == "holes":
+                values = [x for hole in v for x in hole]
+            else:
+                continue
+            bad = [x for x in values if not math.isfinite(x)]
+            if bad:
+                raise SchemaError(
+                    f"{name}: {sec}.{key} must be finite, got {bad[0]!r}")
     g, lo, el, pf = sc.geometry, sc.loading, sc.electrodes, sc.phase_field
     if g["kind"] not in ("plate", "cylinder"):
         raise SchemaError(f"{name}: geometry.kind '{g['kind']}' not recognised")
     dim = 3 if g["kind"] == "cylinder" else 2
+    # notches are cut in plates only, surface flaws seeded on cylinders only
+    if dim == 3 and g["notch_mode"] != "none":
+        raise SchemaError(f"{name}: geometry.notch_mode must be 'none' on a "
+                          f"cylinder, got '{g['notch_mode']}'")
+    if dim == 2 and g["surface_notches"] > 0:
+        raise SchemaError(f"{name}: geometry.surface_notches must be 0 on a "
+                          f"plate, got {g['surface_notches']}")
     if dim == 3 and (g["nz"] < 1 or g["length_z"] <= 0.0):
         raise SchemaError(f"{name}: 3D geometry needs nz >= 1 and length_z > 0")
     if g["nx"] < 1 or g["ny"] < 1:
@@ -458,7 +482,6 @@ nx = 10
 ny = 10
 nz = 13
 cylinder_radius = 0.02
-notch_mode = seed
 surface_notches = 5
 surface_notch_radius = 8.0e-3
 [loading]

@@ -109,6 +109,18 @@ def test_bad_degradation_parameter_is_schema_error(tmp_path, capsys, verb,
     assert not out.exists()
 
 
+def test_non_finite_load_is_schema_error(tmp_path, capsys):
+    """A NaN displacement is rejected before the run writes anything."""
+    p = tmp_path / "case.cfg"
+    p.write_text(CRACKING.replace("u_max = 6e-5", "u_max = nan"),
+                 encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", str(p), "--out", str(out)]) == \
+        cli.EXIT_SCHEMA
+    assert "loading.u_max must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_preset_on_weight_route_is_named(tmp_path, capsys):
     p = tmp_path / "foo.cfg"
     p.write_text("[material]\npreset = foo\nwt = 0.01\n", encoding="utf-8")

@@ -153,6 +153,71 @@ def test_degradation_bounds_rejected_by_key(section, key, bad, edge):
     scenario.parse_text(f"[{section}]\n{key} = {edge}\n", "f")
 
 
+_FLOAT_KEYS = [(sec, key, default)
+               for sec, keys in scenario._SCHEMA.items()
+               for key, (tag, default, _) in keys.items() if tag == "float"]
+
+
+@pytest.mark.parametrize(
+    "section, key", [(s, k) for s, k, d in _FLOAT_KEYS if not math.isnan(d)])
+def test_non_finite_value_rejected_by_key(section, key):
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(scenario.SchemaError,
+                           match=rf"f: {section}\.{key} must be finite"):
+            scenario.parse_text(f"[{section}]\n{key} = {bad}\n", "f")
+
+
+@pytest.mark.parametrize(
+    "section, key", [(s, k) for s, k, d in _FLOAT_KEYS if math.isnan(d)])
+def test_unset_key_takes_nan_but_no_infinity(section, key):
+    sc = scenario.parse_text(f"[{section}]\n{key} = nan\n", "f")
+    assert math.isnan(getattr(sc, section)[key])
+    for bad in ("inf", "-inf"):
+        with pytest.raises(scenario.SchemaError,
+                           match=rf"f: {section}\.{key} must be finite"):
+            scenario.parse_text(f"[{section}]\n{key} = {bad}\n", "f")
+
+
+@pytest.mark.parametrize("section, key, bad", [
+    ("geometry", "defect_region", "0.01, nan, 0.09, 0.15"),
+    ("geometry", "defect_region", "0.01, 0.05, inf, 0.15"),
+    ("sweep", "k_values", "10, inf"),
+    ("sweep", "n_values", "-inf, 4"),
+    ("geometry", "holes", "0.05, 0.1, nan"),
+    ("geometry", "holes", "0.05, 0.1, 0.01; inf, 0.1, 0.01"),
+])
+def test_non_finite_list_entry_rejected_by_key(section, key, bad):
+    with pytest.raises(scenario.SchemaError,
+                       match=rf"f: {section}\.{key} must be finite"):
+        scenario.parse_text(f"[{section}]\n{key} = {bad}\n", "f")
+
+
+def test_replace_rejects_non_finite_values():
+    sc = scenario.canned("plate")
+    for kv in ({"holes": ((0.05, 0.1, math.nan),)},
+               {"notch_length": math.inf}):
+        with pytest.raises(scenario.SchemaError, match=r"must be finite"):
+            sc.replace("geometry", **kv)
+    with pytest.raises(scenario.SchemaError,
+                       match=r"electrodes\.voltage must be finite"):
+        sc.replace("electrodes", voltage=math.inf)
+
+
+def test_notch_on_a_cylinder_rejected():
+    cyl = scenario.canned("cylinder")
+    assert cyl.geometry["notch_mode"] == "none"
+    for mode in ("element", "seed"):
+        with pytest.raises(scenario.SchemaError,
+                           match=r"geometry\.notch_mode must be 'none'"):
+            cyl.replace("geometry", notch_mode=mode)
+
+
+def test_surface_notches_on_a_plate_rejected():
+    with pytest.raises(scenario.SchemaError,
+                       match=r"geometry\.surface_notches must be 0"):
+        scenario.canned("plate").replace("geometry", surface_notches=3)
+
+
 def test_resolve_weight_fraction_names_unknown_preset():
     sc = scenario.parse_text("[material]\npreset = foo\nwt = 0.01\n", "f")
     with pytest.raises(KeyError, match=r"unknown material preset 'foo'"):
